@@ -82,9 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--no-fast-path",
         action="store_true",
-        help="disable the vectorized steady-state fast path and run "
-        "every access through the scalar pipeline (results are "
-        "bit-identical either way; GRIT_FAST_PATH overrides)",
+        help="disable the fast path's batched rounds; steady accesses "
+        "are still priced inline (results are bit-identical either "
+        "way; GRIT_FAST_PATH overrides)",
     )
     _add_observe_arguments(run)
 

@@ -276,14 +276,15 @@ class SystemConfig:
     #: where GPU pairs route over multiple contended hops.  The
     #: ``GRIT_TOPOLOGY`` environment variable overrides it globally.
     topology: str = "all-to-all"
-    #: Vectorized steady-state fast path of the engine (see
+    #: Batched rounds of the engine's steady-state fast path (see
     #: repro.sim.fastpath).  When on, runs of accesses that all hit
     #: already-resident, already-translated local pages are priced in
-    #: one numpy step instead of one Python trip each — bit-for-bit
-    #: identical results, much faster replay.  Automatically disabled
-    #: under ``contention="queued"`` (reservations are order-
-    #: sensitive).  The ``GRIT_FAST_PATH=0/1`` environment variable
-    #: overrides it globally.
+    #: one bulk step while the rounds commit enough to pay for their
+    #: scans — bit-for-bit identical results, much faster replay of
+    #: long runs.  Off, each such access is still priced inline.
+    #: Automatically disabled under ``contention="queued"``
+    #: (reservations are order-sensitive).  The ``GRIT_FAST_PATH=0/1``
+    #: environment variable overrides it globally.
     fast_path: bool = True
 
     def __post_init__(self) -> None:

@@ -44,17 +44,6 @@ class SchemeChange:
     degradations: int
 
 
-_NO_CHANGE = SchemeChange(
-    extra_latency=0,
-    decision_made=False,
-    new_scheme=None,
-    scheme_changed=False,
-    propagated=(),
-    promotions=0,
-    degradations=0,
-)
-
-
 class GritMechanism:
     """Fault-Aware Initiator + decision + Neighboring-Aware Prediction."""
 
@@ -82,8 +71,14 @@ class GritMechanism:
         """Feed one fault through GRIT; returns the resulting actions."""
         outcome = self.initiator.observe_fault(vpn, kind, is_write)
         if not outcome.threshold_reached:
-            return dataclasses.replace(
-                _NO_CHANGE, extra_latency=outcome.extra_latency
+            return SchemeChange(
+                extra_latency=outcome.extra_latency,
+                decision_made=False,
+                new_scheme=None,
+                scheme_changed=False,
+                propagated=(),
+                promotions=0,
+                degradations=0,
             )
         page = self.page_table.get(vpn)
         old_scheme = page.scheme

@@ -46,12 +46,24 @@ class SetAssociativeTLB:
     def peek(self, vpn: int) -> LocalPTE | None:
         """Probe without touching LRU order or hit/miss counters.
 
-        The steady-state fast path uses this to *verify* that a run of
-        accesses would hit before committing to batch pricing; the
-        statistical effects of the verified hits are applied afterwards
-        in bulk (``hits`` bump plus :meth:`promote` per unique page).
+        The engine probes each access with this once and accounts the
+        result afterwards (:meth:`record_hit`, or
+        :meth:`TLBHierarchy.lookup_probed`).  The steady-state fast
+        path uses it to *verify* that a run of accesses would hit
+        before committing to batch pricing; the statistical effects of
+        the verified hits are applied afterwards in bulk (``hits`` bump
+        plus :meth:`promote` per unique page).
         """
-        return self._set_for(vpn).get(vpn)
+        return self._sets[vpn & self._set_mask].get(vpn)
+
+    def record_hit(self, vpn: int) -> None:
+        """Account one hit on an entry already found with :meth:`peek`.
+
+        Together with ``peek`` this is exactly :meth:`lookup` on a hit:
+        the engine probes each access once and reuses the entry.
+        """
+        self._sets[vpn & self._set_mask].move_to_end(vpn)
+        self.hits += 1
 
     def promote(self, vpn: int) -> None:
         """MRU-promote an entry known to be resident (bulk fast path).
@@ -99,10 +111,22 @@ class TLBHierarchy:
         full miss and ``l2_missed`` flags that a page-table walk is
         needed (the event Figure 19 buckets scheme usage by).
         """
+        return self.lookup_probed(vpn, self.l1.peek(vpn))
+
+    def lookup_probed(
+        self, vpn: int, l1_entry: LocalPTE | None
+    ) -> tuple[LocalPTE | None, int, bool]:
+        """:meth:`lookup` given the L1 entry a caller already peeked.
+
+        The engine probes the L1 once per access to decide whether it
+        is steady; this finishes the lookup from that probe, so a hit
+        or miss is still counted exactly once.
+        """
         latency = self.l1.config.lookup_latency
-        pte = self.l1.lookup(vpn)
-        if pte is not None:
-            return pte, latency, False
+        if l1_entry is not None:
+            self.l1.record_hit(vpn)
+            return l1_entry, latency, False
+        self.l1.misses += 1
         latency += self.l2.config.lookup_latency
         pte = self.l2.lookup(vpn)
         if pte is not None:

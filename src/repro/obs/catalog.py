@@ -106,7 +106,7 @@ METRICS: Tuple[MetricSpec, ...] = (
     _counter(SIM_FASTPATH_RUNS, "steady-state runs priced in bulk by "
              "the vectorized fast path", unit="runs"),
     _counter(SIM_FASTPATH_ACCESSES, "accesses covered by fast-path "
-             "runs (the rest went through the scalar pipeline)"),
+             "runs (the rest were priced one at a time)"),
     _counter(UVM_LOCAL_FAULTS, "local page faults serviced by the driver"),
     _counter(UVM_PROTECTION_FAULTS, "page protection faults (writes to "
              "read-only duplicates)"),

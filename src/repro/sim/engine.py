@@ -2,16 +2,19 @@
 
 Each GPU replays its access stream against its own clock; the engine
 always advances the GPU that is furthest behind, which interleaves the
-streams the way concurrent execution would.  Per access the engine runs
-the staged fault-service pipeline (see ``repro.sim.pipeline``):
-translation (L1 TLB -> L2 TLB -> page-table walk), fault buffering,
-batched fault service, then a data access charged by where the page
-actually lives.  With ``fault_batch_size == 1`` (the default) faults
-are serviced inline at the faulting access — the classic simulator,
-bit-for-bit.  With a larger batch size the faulting access parks in the
-GPU's replayable fault buffer while the stream keeps issuing (the other
-warps of a real GPU); a full buffer drains as one batch through the UVM
-driver and the parked accesses are then replayed.
+streams the way concurrent execution would.  Each access is probed in
+its GPU's L1 TLB once.  A *steady* access (L1 hit on a local page it
+may access) is priced inline or batched by the fast path (see
+``repro.sim.fastpath``); every other access runs the staged
+fault-service pipeline (see ``repro.sim.pipeline``): translation
+(L1 TLB -> L2 TLB -> page-table walk), fault buffering, batched fault
+service, then a data access charged by where the page actually lives.
+With ``fault_batch_size == 1`` (the default) faults are serviced
+inline at the faulting access — the classic simulator, bit-for-bit.
+With a larger batch size the faulting access parks in the GPU's
+replayable fault buffer while the stream keeps issuing (the other
+warps of a real GPU); a full buffer drains as one batch through the
+UVM driver and the parked accesses are then replayed.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.obs.run import RunObservation, observe_enabled
 from repro.obs.tracer import ENGINE_TRACK
 from repro.policies.base import PlacementPolicy
 from repro.sim.fastpath import FastPath, fast_path_enabled
-from repro.sim.pipeline import TranslationStage
+from repro.sim.pipeline import CURSOR_CHUNK, TranslationStage
 from repro.sim.result import SimulationResult
 from repro.stats.timeline import IntervalTimeline
 from repro.uvm.driver import UvmDriver
@@ -114,11 +117,23 @@ class Engine:
         )
 
         gpus = machine.gpus
+        l1s = [gpu.tlbs.l1 for gpu in gpus]
+        kernel = machine.kernel
+        l1_latency = self.config.l1_tlb.lookup_latency
+        gps_writes = policy.gps_semantics
         stage = self.stage
         cursors = stage.cursors
+        fold_shift = stage.fold_shift
         service = self.fault_service
         inline = service.inline
         fastpath = self.fastpath
+        # Yield gate of the fast path: after an unpaid round (one that
+        # committed no more accesses than the GPUs it planned) the next
+        # ``hold`` steady accesses are priced inline without a round;
+        # ``backoff`` doubles per unpaid round and a paid round resets
+        # it, so batching runs only while it commits.
+        hold = 0
+        backoff = 1
         # Scheduling heap: always advance the GPU that is furthest
         # behind, ties broken by lowest id — (clock, gpu_id) tuples
         # order exactly like the old min()-over-list selection without
@@ -159,44 +174,85 @@ class Engine:
                 obs_next = (
                     now // observation.sample_interval + 1
                 ) * observation.sample_interval
-            # Steady-state fast round: batch every GPU's verified
-            # steady prefix up to the joint horizon.  Skipped on a
-            # boundary iteration — the hook may have moved clocks, and
-            # the scalar path must replay this access with the
-            # pre-hook ``now`` exactly like the classic loop.
-            if (
-                fastpath is not None
-                and not boundary
-                and fastpath.round(heap, next_interval, obs_next)
-            ):
-                continue
-            heapq.heappop(heap)
-            if fastpath is not None:
-                # Scalar accesses (and the boundary hooks above) can
-                # fault, fill, migrate, or evict — anything the fast
-                # path verified against may change, so flag its cached
-                # verifications for revalidation before going scalar.
+            if boundary and fastpath is not None:
+                # The hooks may have moved mappings the fast path's
+                # cached verifications rely on.
                 fastpath.invalidate(gpu_id)
-            base_vpn, vpn, is_write = stage.next_access(gpu_id)
+            # The one L1 probe of this access, shared by the steady
+            # test, the fast round and the scalar pipeline.
+            cursor = cursors[gpu_id]
+            base_vpn, is_write = cursor.peek()
+            vpn = base_vpn >> fold_shift
+            entry = l1s[gpu_id].peek(vpn)
+            steady = (
+                entry is not None
+                and entry.location == gpu_id
+                and (not is_write or (entry.writable and not gps_writes))
+            )
+            if steady and fastpath is not None and not boundary:
+                # Steady-state fast round: batch every GPU's verified
+                # steady prefix up to the joint horizon.  Skipped on a
+                # boundary iteration — the hook may have moved clocks,
+                # and this access must replay with the pre-hook
+                # ``now`` exactly like the classic loop.
+                if hold:
+                    hold -= 1
+                else:
+                    planned = len(heap)
+                    committed = fastpath.round(heap, next_interval, obs_next)
+                    if committed > planned:
+                        backoff = 1
+                    else:
+                        hold = backoff
+                        backoff = min(backoff * 2, CURSOR_CHUNK)
+                    if committed:
+                        continue
+            # Consume the probed access; priced one at a time below.
+            stage.next_access(gpu_id)
             if timeline is not None:
                 timeline.record(now, gpu_id, base_vpn, is_write)
             counters.record_access(is_write)
-
-            cycles, parked = self._service_access(
-                gpu_id, node, vpn, is_write, now
-            )
-            node.clock = now + cycles + issue_gap
-            if parked and service.should_drain(gpu_id):
-                node.clock += self._drain_faults(gpu_id, node, node.clock)
-            if cursors[gpu_id].exhausted:
+            if steady:
+                # Inline steady hit: exactly what the scalar pipeline
+                # charges an L1 hit on a local page it may access.
+                if fastpath is not None:
+                    fastpath.forget(gpu_id)
+                l1s[gpu_id].record_hit(vpn)
+                cycles = l1_latency + kernel.local_access(
+                    gpu_id, now + l1_latency
+                )
+                if is_write:
+                    node.dram.mark_dirty(vpn)
+                else:
+                    node.dram.touch(vpn)
+                node.clock = now + cycles + issue_gap
+            else:
+                if fastpath is not None:
+                    # Scalar accesses can fault, fill, migrate, or
+                    # evict — anything the fast path verified against
+                    # may change, so flag its cached verifications
+                    # for revalidation.
+                    fastpath.invalidate(gpu_id)
+                cycles, parked = self._service_access(
+                    gpu_id, node, vpn, is_write, now, entry
+                )
+                node.clock = now + cycles + issue_gap
+                if parked and service.should_drain(gpu_id):
+                    node.clock += self._drain_faults(
+                        gpu_id, node, node.clock
+                    )
+            if cursor.exhausted:
+                heapq.heappop(heap)
                 # End of stream: nothing left to overlap parked faults
                 # with, so flush this GPU's partial batch.
                 if not inline and service.pending(gpu_id):
+                    if fastpath is not None:
+                        fastpath.invalidate(gpu_id)
                     node.clock += self._drain_faults(
                         gpu_id, node, node.clock
                     )
             else:
-                heapq.heappush(heap, (node.clock, gpu_id))
+                heapq.heapreplace(heap, (node.clock, gpu_id))
 
         return self._build_result()
 
@@ -207,14 +263,16 @@ class Engine:
         vpn: int,
         is_write: bool,
         now: int,
+        l1_entry: "LocalPTE | None",
     ) -> tuple[int, bool]:
         """Stages 1-2 of one access; returns ``(cycles, parked)``.
 
-        ``parked`` is True when the access deposited a fault into the
-        GPU's buffer and its remainder (TLB fill, protection check,
-        data access) is deferred to the post-drain replay.
+        ``l1_entry`` is the access's L1 probe.  ``parked`` is True
+        when the access deposited a fault into the GPU's buffer and
+        its remainder (TLB fill, protection check, data access) is
+        deferred to the post-drain replay.
         """
-        outcome = self.stage.lookup(node, vpn, is_write, now)
+        outcome = self.stage.lookup(node, vpn, is_write, now, l1_entry)
         cycles = outcome.cycles
         pte = outcome.pte
         if outcome.l2_missed:

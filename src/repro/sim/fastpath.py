@@ -2,41 +2,49 @@
 
 The overwhelmingly common access in every workload's steady phase is
 *boring*: it hits the L1 TLB, the page is resident locally, no fault
-fires, no policy boundary is due.  The scalar pipeline still pays a
-full Python trip for each one.  This module batches those runs the way
-GRIT's own evaluation substrate (MGPUSim) does — model the interesting
-accesses precisely, price the uninteresting ones in bulk.
+fires.  The engine handles these in two tiers, both bit-for-bit equal
+to the scalar pipeline.
 
-An access is **steady** for GPU ``g`` when all of:
+**One probe, inline steady hit.**  :meth:`~repro.sim.engine.Engine.run`
+peeks the scheduled GPU's next access in its L1 TLB once and reuses
+that entry everywhere.  An access is **steady** for GPU ``g`` when
 
-* its folded page hits ``g``'s L1 TLB (``peek`` — no LRU mutation
-  until the run is committed),
+* its folded page hits ``g``'s L1 TLB,
 * the cached translation is local (``pte.location == g``) — remote
-  and host locations take the far-access path with driver hooks,
+  and host locations take the far-access path with driver hooks, and
 * a write finds the PTE writable (otherwise a protection fault) and
-  the policy has no GPS store semantics (GPS writes broadcast),
-* no fault is parked in ``g``'s replayable buffer (batch mode), and
-* the engine is in flat contention mode (``contention="queued"``
-  prices each access against live link/DRAM occupancy, which is
-  order-sensitive — the engine never builds a FastPath there).
+  the policy has no GPS store semantics (GPS writes broadcast).
 
-One steady access then costs exactly ``l1_lookup + local_access``
-cycles and advances the GPU's clock by that plus the issue gap; its
-only side effects are per-GPU L1/DRAM LRU promotion, the global
-access counters, and a timeline cell bump — all either per-GPU-local
-or commutative.  Steady accesses of *different* GPUs therefore
-commute, which is what lets :meth:`FastPath.round` batch every GPU's
-verified steady prefix in one step instead of degenerating to
-one-access runs under the engine's lockstep lowest-clock scheduling.
+The engine prices a steady access inline, in every contention mode:
+L1 promote and hit count, one ``local_access`` charge, the DRAM touch
+or dirty mark, and the clock advance.  Every other access goes through
+the scalar pipeline, which finishes the TLB lookup from the same probe
+(:meth:`~repro.memsys.tlb.TLBHierarchy.lookup_probed`), so a hit or
+miss is counted once.
+
+**Batched rounds.**  In flat contention mode a steady access may
+instead start a :meth:`FastPath.round`, which prices every GPU's run
+of steady accesses in bulk.  One steady access then costs exactly
+``l1_lookup + local_access`` cycles and advances the GPU's clock by
+that plus the issue gap; its only side effects are per-GPU L1/DRAM
+LRU promotion, the global access counters, and a timeline cell bump —
+all either per-GPU-local or commutative.  Steady accesses of
+*different* GPUs therefore commute, which is what lets a round batch
+every GPU's verified steady prefix in one step instead of degenerating
+to one-access runs under the engine's lockstep lowest-clock
+scheduling.  A round never batches past a fault parked in the GPU's
+replayable buffer (batch mode), and ``contention="queued"`` never
+builds a FastPath: there each access is priced against live
+link/DRAM occupancy, which is order-sensitive.
 
 A round works in three moves:
 
 1. **Verify**: per active GPU, probe the next access alone (one L1
-   ``peek``), then scan a zero-copy window off its stream cursor
-   (:meth:`~repro.sim.pipeline.StreamCursor.peek_batch`) with an
-   early-exit loop that memoizes one (read_ok, write_ok) verdict per
-   folded page — the scan's cost is proportional to the run it finds.
-   The window grows adaptively (64 entries up to
+   ``peek``), then split a zero-copy window off its stream cursor
+   (:meth:`~repro.sim.pipeline.StreamCursor.peek_batch`) into
+   same-page segments and judge them in order with one memoized
+   (read_ok, write_ok) verdict per folded page, stopping at the first
+   unsteady access.  The window grows adaptively (64 entries up to
    :data:`~repro.sim.pipeline.CURSOR_CHUNK`) so fault-heavy phases
    pay for short windows and steady phases verify in big gulps.  The
    verified-but-unconsumed remainder is cached per GPU: fast rounds
@@ -44,7 +52,8 @@ A round works in three moves:
    survives until the engine runs anything scalar — then
    :meth:`invalidate` drops the acting GPU's entry (its cursor moved)
    and epoch-stamps the rest, which cheaply *revalidate* at their
-   next use by re-probing just the pages in their memo.
+   next use by re-probing just the pages in their memo.  An inline
+   steady hit only drops the acting GPU's entry (:meth:`forget`).
 2. **Bound**: the joint horizon ``H`` is the lexicographic minimum of
    ``(t, gpu)`` over every GPU's first unverified-or-unsteady access
    time, further capped by the next policy-interval and observation
@@ -53,19 +62,28 @@ A round works in three moves:
    before anything interesting happens, so it is safe to batch.
 3. **Commit**: per GPU, price its sub-``H`` prefix in one step — bulk
    counter sums, one ``hits`` bump, L1/DRAM LRU promotion per unique
-   page in last-access order, grouped timeline records, and a single
+   page in last-access order (one update when verification found the
+   run on a single page), grouped timeline records, and a single
    clock advance through the timing kernel's bulk charge API.
 
-The moment anything interesting happens — an L2 miss, a fault, a
-protection fault, an interval/observation boundary, a pending drain —
-the detector stops the run there and the engine falls back to the
-scalar pipeline for that access.  Results are bit-for-bit identical
-with the fast path on or off; ``tests/sim/test_fastpath.py`` and the
-golden/bench gates in CI hold that line.
+**Yield gate.**  A round costs a verification scan per GPU, which is
+wasted when the runs are short: at 4 KiB pages most steady runs end
+at the next page's fault.  A round that commits no more accesses than
+the number of GPUs it planned is *unpaid*; after one, the engine
+prices a budget of steady accesses inline before it tries another
+round.  The budget doubles after each unpaid round, up to
+:data:`~repro.sim.pipeline.CURSOR_CHUNK`, and a paid round resets it.
+The gate reads only the rounds' own yield, so long runs (large pages,
+streaming phases) keep batching and fault-heavy phases stop paying
+for scans that find nothing.  It changes which tier prices an access,
+never the result.
 
-Enable/disable with ``SystemConfig(fast_path=...)``, the
-``--no-fast-path`` CLI flag, or the ``GRIT_FAST_PATH`` environment
-variable (the same global-override pattern as ``GRIT_CONTENTION``).
+Results are bit-for-bit identical with batching on or off;
+``tests/sim/test_fastpath.py`` and the golden/bench gates in CI hold
+that line.  Enable/disable batching (the inline steady hit always
+runs) with ``SystemConfig(fast_path=...)``, the ``--no-fast-path``
+CLI flag, or the ``GRIT_FAST_PATH`` environment variable (the same
+global-override pattern as ``GRIT_CONTENTION``).
 """
 
 from __future__ import annotations
@@ -94,8 +112,8 @@ FAST_PATH_ENV_VAR = "GRIT_FAST_PATH"
 #: run cut short by the next fault wastes little verification work.
 _MIN_WINDOW = 64
 
-#: Runs at or below this length commit through a plain Python replay
-#: of the per-access side effects; above it the numpy bulk commit's
+#: Multi-page runs at or below this length commit through a plain
+#: Python pass over their accesses; above it the numpy bulk commit's
 #: fixed overhead amortizes and wins.
 _SCALAR_COMMIT = 64
 
@@ -177,13 +195,22 @@ class FastPath:
         self._epoch += 1
         self._state.pop(gpu_id, None)
 
+    def forget(self, gpu_id: int) -> None:
+        """Note an inline steady hit of ``gpu_id``.
+
+        The hit moved only ``gpu_id``'s cursor and LRU order, so its
+        own cached verification is dropped and every other GPU's
+        stays current.
+        """
+        self._state.pop(gpu_id, None)
+
     # -- detection -----------------------------------------------------
 
     def _verify(self, gpu_id: int) -> list:
         """Measure one GPU's steady prefix off the cursor.
 
         Builds and caches the state record
-        ``[stamp, n_ok, reaches_end, unsteady, memo]``:
+        ``[stamp, n_ok, reaches_end, unsteady, memo, page]``:
 
         * ``n_ok`` — verified steady accesses not yet consumed;
         * ``reaches_end`` — the verified run extends to the end of
@@ -191,16 +218,20 @@ class FastPath:
         * ``unsteady`` — the *next* access is known not steady (the
           verdict holds until scalar activity invalidates it);
         * ``memo`` — folded page -> (read_ok, write_ok) for every
-          page the scan probed, the basis for cheap revalidation.
+          page the scan probed, the basis for cheap revalidation;
+        * ``page`` — the folded page of the whole verified run when it
+          lies on one page (the typical sweep shape), else None.
 
-        The scan stops at the first unsteady access, so its cost is
-        proportional to the run it finds; the adaptive window only
-        bounds how much of a long steady stretch is verified per gulp
-        — it grows while windows come back fully steady and shrinks
-        back toward the measured run length when they do not.
+        The window is split into same-page segments in one numpy pass
+        and judged a segment at a time, so the Python work is
+        proportional to the pages the run touches; the adaptive
+        window only bounds how much of a long steady stretch is
+        verified per gulp — it grows while windows come back fully
+        steady and shrinks back toward the measured run length when
+        they do not.
         """
         memo: Dict[int, Tuple[bool, bool]] = {}
-        state = [self._epoch, 0, False, False, memo]
+        state = [self._epoch, 0, False, False, memo, None]
         self._state[gpu_id] = state
         if not self.inline and self.service.pending(gpu_id):
             # Parked faults drain (and replay) before the stream may
@@ -226,9 +257,18 @@ class FastPath:
             return state
         window = self._window.get(gpu_id, _MIN_WINDOW)
         vpns, writes = cursor.peek_batch(window)
+        # Judge the window one same-page segment at a time: a segment
+        # is steady whole when its page is write-ok, up to its first
+        # write when the page is read-ok only, and not at all
+        # otherwise.  The pages probed (and memoized) are exactly
+        # those an access-by-access scan would probe.
+        folded = vpns >> shift
+        cuts = ((folded[1:] != folded[:-1]).nonzero()[0] + 1).tolist()
+        starts = [0] + cuts
+        ends = cuts + [len(folded)]
+        pages = folded[starts].tolist() if cuts else [int(folded[0])]
         n_ok = 0
-        for vpn, is_write in zip(vpns.tolist(), writes.tolist()):
-            page = vpn >> shift
+        for start, end, page in zip(starts, ends, pages):
             flags = memo.get(page)
             if flags is None:
                 entry = peek(page)
@@ -237,9 +277,18 @@ class FastPath:
                 else:
                     flags = (True, not gps and entry.writable)
                 memo[page] = flags
-            if not flags[1 if is_write else 0]:
-                break
-            n_ok += 1
+            if flags[1]:
+                n_ok = end
+                continue
+            if flags[0]:
+                written = np.flatnonzero(writes[start:end])
+                if not len(written):
+                    n_ok = end
+                    continue
+                n_ok = start + int(written[0])
+            break
+        if n_ok <= ends[0]:
+            state[5] = pages[0]
         if n_ok == len(vpns):
             # Fully steady window: verify in bigger gulps next time.
             self._window[gpu_id] = min(window * 4, CURSOR_CHUNK)
@@ -309,23 +358,25 @@ class FastPath:
         heap: List[Tuple[int, int]],
         next_interval: int | None,
         obs_next: int | None,
-    ) -> bool:
+    ) -> int:
         """Batch every GPU's steady prefix up to the joint horizon.
 
         ``heap`` is the engine's ``(clock, gpu_id)`` scheduling heap
         with a fresh top entry; on success it is rebuilt in place with
-        the post-run clocks (exhausted GPUs dropped) and True is
-        returned.  Returns False — heap untouched, nothing consumed —
-        when the scheduled GPU's next access is not steady.
+        the post-run clocks (exhausted GPUs dropped) and the number of
+        accesses committed is returned.  Returns 0 — heap untouched,
+        nothing consumed — when the scheduled GPU's next access cannot
+        be batched (it is not steady, or faults are parked).
         """
         top_gpu = heap[0][1]
         top_ok, top_until = self._plan(top_gpu)
         if top_ok == 0:
-            # The scheduled access is not steady: scalar pipeline.
-            # (When it IS steady the round always commits at least
-            # that access — every other GPU/boundary bound is strictly
-            # later in (clock, gpu_id) order.)
-            return False
+            # The scheduled access cannot be batched: the engine
+            # prices it itself.  (When it can, the round always
+            # commits at least that access — every other
+            # GPU/boundary bound is strictly later in (clock, gpu_id)
+            # order.)
+            return 0
         plans: List[Tuple[int, int]] = [(top_gpu, top_ok)]
         horizon: Tuple[float, int] = (top_until, top_gpu)
         for _, gpu_id in heap:
@@ -361,11 +412,12 @@ class FastPath:
                 count = int(limit - clock) // advance + 1
             if count <= 0:
                 continue
-            self._commit(gpu_id, gpus[gpu_id], clock, count)
-            self._state[gpu_id][1] -= count
+            state = self._state[gpu_id]
+            self._commit(gpu_id, gpus[gpu_id], clock, count, state[5])
+            state[1] -= count
             total += count
         if total == 0:
-            return False
+            return 0
         cursors = self.cursors
         heap[:] = [
             (gpus[gpu_id].clock, gpu_id)
@@ -373,18 +425,25 @@ class FastPath:
             if not cursors[gpu_id].exhausted
         ]
         heapq.heapify(heap)
-        return True
+        return total
 
     # -- committing one run --------------------------------------------
 
     def _commit(
-        self, gpu_id: int, node: "GpuNode", clock: int, count: int
+        self,
+        gpu_id: int,
+        node: "GpuNode",
+        clock: int,
+        count: int,
+        page: int | None,
     ) -> None:
         """Apply one verified run's effects in bulk, bit-for-bit.
 
         Replicates exactly what ``count`` scalar iterations would have
         done: counters, L1 hit stats + MRU order, DRAM LRU/dirty
         state, timeline cells, cursor position, and the clock.
+        ``page`` is the run's folded page when it lies on one page
+        (see :meth:`_verify`), else None.
         """
         cursor = self.cursors[gpu_id]
         vpns, writes = cursor.peek_batch(count)
@@ -395,82 +454,52 @@ class FastPath:
         l1 = node.tlbs.l1
         l1.hits += count
         dram = node.dram
-        if count <= _SCALAR_COMMIT:
+        # Final L1 MRU order and DRAM LRU/dirty state only depend on
+        # each unique page's *last* access in the run, so each page is
+        # updated once, in ascending last-access order.
+        if page is not None:
+            # One folded page: the typical sweep run shape.
+            nwrites = int(np.count_nonzero(writes))
+            l1.promote(page)
+            if nwrites:
+                dram.mark_dirty(page)
+            else:
+                dram.touch(page)
+        elif count <= _SCALAR_COMMIT:
             # Short run: plain Python beats numpy's fixed per-call
-            # overhead.  Final L1 MRU order and DRAM LRU/dirty state
-            # only depend on each unique page's last access, so the
-            # run is deduped before touching the structures.
+            # overhead.  Dict pop+reinsert keeps pages in last-access
+            # order and merges the per-page written flag on the way.
             shift = self.fold_shift
-            vl = vpns.tolist()
             wl = writes.tolist()
             nwrites = wl.count(True)
-            counters.writes += nwrites
-            counters.reads += count - nwrites
-            first_page = vl[0] >> shift
-            if (min(vl) >> shift) == first_page == (max(vl) >> shift):
-                # Single folded page — the typical sweep run shape.
-                l1.promote(first_page)
-                if nwrites:
-                    dram.mark_dirty(first_page)
+            order: Dict[int, bool] = {}
+            for vpn, is_write in zip(vpns.tolist(), wl):
+                folded_page = vpn >> shift
+                order[folded_page] = (
+                    order.pop(folded_page, False) or is_write
+                )
+            for folded_page, wrote in order.items():
+                l1.promote(folded_page)
+                if wrote:
+                    dram.mark_dirty(folded_page)
                 else:
-                    dram.touch(first_page)
-            else:
-                # Dict pop+reinsert keeps pages in last-access order
-                # and merges the per-page written flag on the way.
-                order: Dict[int, bool] = {}
-                for vpn, is_write in zip(vl, wl):
-                    page = vpn >> shift
-                    order[page] = order.pop(page, False) or is_write
-                for page, wrote in order.items():
-                    l1.promote(page)
-                    if wrote:
-                        dram.mark_dirty(page)
-                    else:
-                        dram.touch(page)
-            timeline = self.timeline
-            if timeline is not None:
-                when = clock
-                advance = self.advance
-                record = timeline.record
-                for vpn, is_write in zip(vl, wl):
-                    record(when, gpu_id, vpn, is_write)
-                    when += advance
-            data_cycles = self.kernel.local_access_bulk(
-                gpu_id, count, clock
-            )
-            node.clock = clock + count * self.overhead + data_cycles
-            cursor.advance(count)
-            return
-        writes = writes.astype(bool, copy=False)
-        nwrites = int(np.count_nonzero(writes))
-        counters.writes += nwrites
-        counters.reads += count - nwrites
-        folded = vpns >> self.fold_shift
-        first_page = int(folded[0])
-        if int(folded[-1]) == first_page and (folded == first_page).all():
-            # Single-page run (the typical shape: a page's remaining
-            # accesses after its install, up to the next page's fault).
-            l1.promote(first_page)
-            if nwrites:
-                dram.mark_dirty(first_page)
-            else:
-                dram.touch(first_page)
+                    dram.touch(folded_page)
         else:
-            # Final L1 MRU order and DRAM LRU/dirty state only depend
-            # on each unique page's *last* access in the run: replay
-            # uniques in ascending last-position order.
+            writes = writes.astype(bool, copy=False)
+            nwrites = int(np.count_nonzero(writes))
+            folded = vpns >> self.fold_shift
             uniq, first_in_reversed = np.unique(
                 folded[::-1], return_index=True
             )
-            order = np.argsort(first_in_reversed)[::-1]
+            order_idx = np.argsort(first_in_reversed)[::-1]
             if nwrites == 0:
-                for j in order.tolist():
-                    page = int(uniq[j])
-                    l1.promote(page)
-                    dram.touch(page)
+                for j in order_idx.tolist():
+                    folded_page = int(uniq[j])
+                    l1.promote(folded_page)
+                    dram.touch(folded_page)
             else:
                 _, inverse = np.unique(folded, return_inverse=True)
-                wrote = (
+                wrote_any = (
                     np.bincount(
                         inverse,
                         weights=writes.astype(np.float64),
@@ -478,13 +507,15 @@ class FastPath:
                     )
                     > 0
                 )
-                for j in order.tolist():
-                    page = int(uniq[j])
-                    l1.promote(page)
-                    if wrote[j]:
-                        dram.mark_dirty(page)
+                for j in order_idx.tolist():
+                    folded_page = int(uniq[j])
+                    l1.promote(folded_page)
+                    if wrote_any[j]:
+                        dram.mark_dirty(folded_page)
                     else:
-                        dram.touch(page)
+                        dram.touch(folded_page)
+        counters.writes += nwrites
+        counters.reads += count - nwrites
         if self.timeline is not None:
             self._record_timeline(gpu_id, clock, count, vpns, writes)
         data_cycles = self.kernel.local_access_bulk(gpu_id, count, clock)

@@ -188,17 +188,25 @@ class TranslationStage:
         return base_vpn, base_vpn >> self.fold_shift, is_write
 
     def lookup(
-        self, node: "GpuNode", vpn: int, is_write: bool, now: int
+        self,
+        node: "GpuNode",
+        vpn: int,
+        is_write: bool,
+        now: int,
+        l1_entry: "LocalPTE | None",
     ) -> AccessOutcome:
         """Walk the translation path for one access.
 
-        L1/L2 TLB lookup, then on an L2 miss a page-table walk (the
-        walk also tallies the touched page's current scheme for the
-        Figure 19 breakdown) and a local-page-table lookup whose
-        ``None`` result signals a page fault to the fault stages.
+        ``l1_entry`` is the engine's L1 probe of ``vpn`` (the one
+        probe per access, see :meth:`~repro.sim.engine.Engine.run`);
+        the L1 hit or miss is accounted from it, then on an L1 miss
+        the L2 TLB, and on an L2 miss a page-table walk (the walk also
+        tallies the touched page's current scheme for the Figure 19
+        breakdown) and a local-page-table lookup whose ``None`` result
+        signals a page fault to the fault stages.
         """
         machine = self.machine
-        pte, cycles, l2_missed = node.tlbs.lookup(vpn)
+        pte, cycles, l2_missed = node.tlbs.lookup_probed(vpn, l1_entry)
         page = None
         if l2_missed:
             walk = node.walker.walk(vpn, now)

@@ -43,7 +43,8 @@ class EventCounters:
         #: repro.sim.fastpath); zero when the fast path is off.
         self.fastpath_runs = 0
         #: Accesses those runs covered.  ``accesses -
-        #: fastpath_accesses`` went through the scalar pipeline.
+        #: fastpath_accesses`` were priced one at a time, inline or by
+        #: the scalar pipeline.
         self.fastpath_accesses = 0
         #: Accesses that missed the L2 TLB, bucketed by the scheme the
         #: touched page was using at that moment (Figure 19).

@@ -40,7 +40,13 @@ class FaultEvent:
                 f"{other.vpn}) into (gpu {self.gpu}, vpn {self.vpn})"
             )
         if other.is_write and not self.is_write:
-            return dataclasses.replace(self, is_write=True)
+            return FaultEvent(
+                kind=self.kind,
+                gpu=self.gpu,
+                vpn=self.vpn,
+                is_write=True,
+                cycle=self.cycle,
+            )
         return self
 
 

@@ -321,6 +321,45 @@ class TestFastPathScaleMatrix:
         ).describe()
 
 
+class TestRoundYield:
+    """Rounds are tried only while they commit (the engine's gate)."""
+
+    def test_fault_heavy_replay_makes_few_rounds(self, monkeypatch):
+        # At 4 KiB pages bfs faults on most pages, so steady runs are
+        # short and nearly every round would batch nothing; priced
+        # inline instead, the engine backs off from trying.
+        rounds = []
+        original = FastPath.round
+
+        def counting_round(self, *args):
+            rounds.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(FastPath, "round", counting_round)
+        trace = make_workload("bfs", num_gpus=4, scale=0.05)
+        result = simulate(
+            SystemConfig(num_gpus=4), trace, make_policy("on_touch")
+        )
+        accesses = result.counters.accesses
+        assert accesses == trace.total_accesses
+        assert len(rounds) * 10 <= accesses, (
+            f"{len(rounds)} fast-path rounds for {accesses} accesses"
+        )
+
+    def test_gate_does_not_starve_steady_replay(self):
+        # 64 KiB pages fold fir's sweeps into long steady runs; rounds
+        # pay there, so the gate must keep batching nearly everything.
+        trace = make_workload("fir", num_gpus=4, scale=1.0)
+        result = simulate(
+            SystemConfig(num_gpus=4, page_size=65536),
+            trace,
+            make_policy("grit"),
+        )
+        counters = result.counters
+        share = counters.fastpath_accesses / counters.accesses
+        assert share >= 0.98, f"fast path batched only {share:.3f}"
+
+
 class TestFastPathSpeedup:
     """The fast path must actually be fast where it applies."""
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.policies import make_policy
-from repro.sim.engine import simulate
+from repro.sim.engine import Engine, simulate
 from repro.workloads.registry import make_workload
 
 GOLDEN_PATH = (
@@ -104,6 +104,91 @@ class TestScaleOutGolden:
             capture = GOLDEN_8GPU[key]
             assert capture["details"]["topology"] == "nvswitch:4", key
             assert len(capture["per_gpu_cycles"]) == 8, key
+
+
+#: Per-GPU translation statistics ``(l1_hits, l1_misses, l2_hits,
+#: l2_misses, walks)`` captured before the engine shared one L1 probe
+#: per access between its steady test and the translation stage.  The
+#: goldens only hold aggregate hit rates, so these pin the per-level
+#: counts: a probe that was counted twice (or not at all) shows here.
+TRANSLATION_CASES = {
+    "bfs/grit/inline": (
+        "bfs", "grit", {},
+        [
+            (611, 397, 0, 397, 397),
+            (636, 372, 2, 370, 370),
+            (626, 382, 2, 380, 380),
+            (644, 364, 7, 357, 357),
+        ],
+    ),
+    "sc/grit/batch16": (
+        "sc", "grit", {"fault_batch_size": 16},
+        [
+            (101, 571, 0, 571, 571),
+            (109, 641, 0, 641, 641),
+            (112, 638, 0, 638, 638),
+            (114, 588, 0, 588, 588),
+        ],
+    ),
+    "st/gps/inline": (
+        "st", "gps", {},
+        [
+            (2278, 418, 0, 418, 418),
+            (2926, 634, 0, 634, 634),
+            (2926, 634, 0, 634, 634),
+            (2440, 472, 0, 472, 472),
+        ],
+    ),
+    "fir/grit/8gpu-nvswitch-queued": (
+        "fir", "grit",
+        {
+            "num_gpus": 8,
+            "topology": "nvswitch",
+            "contention": "queued",
+            "fault_batch_size": 16,
+        },
+        [
+            (189, 603, 0, 603, 603),
+            (189, 627, 0, 627, 627),
+            (187, 629, 0, 629, 629),
+            (188, 628, 0, 628, 628),
+            (187, 629, 0, 629, 629),
+            (186, 630, 0, 630, 630),
+            (188, 628, 0, 628, 628),
+            (191, 601, 0, 601, 601),
+        ],
+    ),
+}
+
+
+class TestTranslationStatistics:
+    """Per-GPU TLB and walker counts stay on their capture."""
+
+    @pytest.mark.parametrize("key", sorted(TRANSLATION_CASES))
+    def test_per_gpu_translation_counts(self, key):
+        workload, policy, changes, want = TRANSLATION_CASES[key]
+        config = SystemConfig(**{"num_gpus": 4, **changes})
+        trace = make_workload(
+            workload, num_gpus=config.num_gpus, scale=0.05
+        )
+        engine = Engine(config, trace, make_policy(policy))
+        engine.run()
+        got = [
+            (
+                gpu.tlbs.l1.hits,
+                gpu.tlbs.l1.misses,
+                gpu.tlbs.l2.hits,
+                gpu.tlbs.l2.misses,
+                gpu.walker.walks,
+            )
+            for gpu in engine.machine.gpus
+        ]
+        assert got == want
+        # Every access is probed in the L1 exactly once: hit or miss.
+        for (l1_hits, l1_misses, *_), (vpns, _) in zip(
+            got, trace.streams
+        ):
+            assert l1_hits + l1_misses == len(vpns)
 
 
 class TestBatchedServicing:
