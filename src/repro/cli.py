@@ -33,12 +33,21 @@ from typing import Sequence
 
 from repro.analysis import sharing_summary
 from repro.config import SystemConfig
+from repro.errors import ConfigError
 from repro.harness.experiment import ExperimentRunner
 from repro.harness.figures import FIGURES, run_figure
 from repro.harness.report import format_figure, format_table
 from repro.policies import available_policies, make_policy
 from repro.sim import simulate
 from repro.workloads import available_workloads, make_workload
+
+
+def _positive_scale(text: str) -> float:
+    """``--scale`` type: a finite number above zero."""
+    value = float(text)  # argparse reports a ValueError as invalid
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -54,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("workload", choices=available_workloads())
     run.add_argument("policy", choices=available_policies())
     run.add_argument("--gpus", type=int, default=4)
-    run.add_argument("--scale", type=float, default=0.3)
+    run.add_argument("--scale", type=_positive_scale, default=0.3)
     run.add_argument("--page-size", type=int, default=4096)
     run.add_argument(
         "--contention",
@@ -96,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_cmd.add_argument("policy", choices=available_policies())
     trace_cmd.add_argument("output", help="Chrome trace-event JSON path")
     trace_cmd.add_argument("--gpus", type=int, default=4)
-    trace_cmd.add_argument("--scale", type=float, default=0.3)
+    trace_cmd.add_argument("--scale", type=_positive_scale, default=0.3)
     trace_cmd.add_argument(
         "--metrics",
         metavar="PATH",
@@ -123,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     inspect_cmd.add_argument("workload", choices=available_workloads())
     inspect_cmd.add_argument("policy", choices=available_policies())
     inspect_cmd.add_argument("--gpus", type=int, default=4)
-    inspect_cmd.add_argument("--scale", type=float, default=0.3)
+    inspect_cmd.add_argument("--scale", type=_positive_scale, default=0.3)
     inspect_cmd.add_argument(
         "--vpn",
         type=int,
@@ -144,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument("workload", choices=available_workloads())
     profile_cmd.add_argument("policy", choices=available_policies())
     profile_cmd.add_argument("--gpus", type=int, default=4)
-    profile_cmd.add_argument("--scale", type=float, default=0.3)
+    profile_cmd.add_argument("--scale", type=_positive_scale, default=0.3)
     profile_cmd.add_argument(
         "--json",
         metavar="PATH",
@@ -164,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--scale",
-        type=float,
+        type=_positive_scale,
         default=None,
         help="trace scale (default: $REPRO_BENCH_SCALE or 0.05)",
     )
@@ -211,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("figure", help="regenerate a paper figure")
     fig.add_argument("name", choices=[*sorted(FIGURES), "all"])
-    fig.add_argument("--scale", type=float, default=0.3)
+    fig.add_argument("--scale", type=_positive_scale, default=0.3)
     fig.add_argument(
         "--format",
         choices=["text", "json", "csv"],
@@ -234,13 +243,13 @@ def _build_parser() -> argparse.ArgumentParser:
     char = sub.add_parser("characterize", help="trace characterization")
     char.add_argument("workload", choices=available_workloads())
     char.add_argument("--gpus", type=int, default=4)
-    char.add_argument("--scale", type=float, default=0.3)
+    char.add_argument("--scale", type=_positive_scale, default=0.3)
 
     report = sub.add_parser(
         "report", help="regenerate every figure into a markdown report"
     )
     report.add_argument("--output", default="REPORT.md")
-    report.add_argument("--scale", type=float, default=0.25)
+    report.add_argument("--scale", type=_positive_scale, default=0.25)
     report.add_argument(
         "--charts",
         metavar="DIR",
@@ -272,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dump.add_argument("workload", choices=available_workloads())
     dump.add_argument("output")
     dump.add_argument("--gpus", type=int, default=4)
-    dump.add_argument("--scale", type=float, default=0.3)
+    dump.add_argument("--scale", type=_positive_scale, default=0.3)
 
     sweep = sub.add_parser(
         "sweep", help="run a workload x policy matrix and tabulate it"
@@ -288,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated policy names",
     )
     sweep.add_argument("--gpus", type=int, default=4)
-    sweep.add_argument("--scale", type=float, default=0.3)
+    sweep.add_argument("--scale", type=_positive_scale, default=0.3)
     sweep.add_argument(
         "--baseline",
         default="on_touch",
@@ -1055,32 +1064,36 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point; a bad configuration exits 2 with one line."""
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "figure":
-        return _cmd_figure(args)
-    if args.command == "characterize":
-        return _cmd_characterize(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "dump-trace":
-        return _cmd_dump_trace(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "inspect":
-        return _cmd_inspect(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
+    try:
+        if args.command == "list":
+            return _cmd_list()
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "figure":
+            return _cmd_figure(args)
+        if args.command == "characterize":
+            return _cmd_characterize(args)
+        if args.command == "report":
+            return _cmd_report(args)
+        if args.command == "dump-trace":
+            return _cmd_dump_trace(args)
+        if args.command == "trace":
+            return _cmd_trace(args)
+        if args.command == "inspect":
+            return _cmd_inspect(args)
+        if args.command == "profile":
+            return _cmd_profile(args)
+        if args.command == "bench":
+            return _cmd_bench(args)
+        if args.command == "sweep":
+            return _cmd_sweep(args)
+        if args.command == "lint":
+            return _cmd_lint(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -11,7 +11,7 @@ even on a TLB hit).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List
+from typing import Iterator, List
 
 from repro.config import TLBConfig
 from repro.memsys.page_table import LocalPTE
@@ -29,12 +29,9 @@ class SetAssociativeTLB:
         self.hits = 0
         self.misses = 0
 
-    def _set_for(self, vpn: int) -> OrderedDict[int, LocalPTE]:
-        return self._sets[vpn & self._set_mask]
-
     def lookup(self, vpn: int) -> LocalPTE | None:
         """Probe the TLB; promotes the entry to MRU on a hit."""
-        entries = self._set_for(vpn)
+        entries = self._sets[vpn & self._set_mask]
         entry = entries.get(vpn)
         if entry is None:
             self.misses += 1
@@ -48,7 +45,7 @@ class SetAssociativeTLB:
 
         The engine probes each access with this once and accounts the
         result afterwards (:meth:`record_hit`, or
-        :meth:`TLBHierarchy.lookup_probed`).  The steady-state fast
+        :meth:`TLBHierarchy.translate`).  The steady-state fast
         path uses it to *verify* that a run of accesses would hit
         before committing to batch pricing; the statistical effects of
         the verified hits are applied afterwards in bulk (``hits`` bump
@@ -71,11 +68,11 @@ class SetAssociativeTLB:
         Raises ``KeyError`` when the entry is absent — callers must
         have verified residency with :meth:`peek` first.
         """
-        self._set_for(vpn).move_to_end(vpn)
+        self._sets[vpn & self._set_mask].move_to_end(vpn)
 
     def insert(self, vpn: int, pte: LocalPTE) -> None:
         """Fill an entry, evicting the set's LRU victim if full."""
-        entries = self._set_for(vpn)
+        entries = self._sets[vpn & self._set_mask]
         if vpn in entries:
             entries.move_to_end(vpn)
             entries[vpn] = pte
@@ -86,12 +83,18 @@ class SetAssociativeTLB:
 
     def invalidate(self, vpn: int) -> bool:
         """Shootdown of one translation; True if it was cached."""
-        return self._set_for(vpn).pop(vpn, None) is not None
+        return self._sets[vpn & self._set_mask].pop(vpn, None) is not None
 
     def flush(self) -> None:
         """Full flush (pipeline drain during migration/collapse)."""
         for entries in self._sets:
-            entries.clear()
+            if entries:
+                entries.clear()
+
+    def cached_vpns(self) -> Iterator[int]:
+        """Every VPN with a cached translation (sanitizer sweeps)."""
+        for entries in self._sets:
+            yield from entries
 
     def __len__(self) -> int:
         return sum(len(entries) for entries in self._sets)
@@ -111,28 +114,30 @@ class TLBHierarchy:
         full miss and ``l2_missed`` flags that a page-table walk is
         needed (the event Figure 19 buckets scheme usage by).
         """
-        return self.lookup_probed(vpn, self.l1.peek(vpn))
+        pte, latency = self.translate(vpn, self.l1.peek(vpn))
+        return pte, latency, pte is None
 
-    def lookup_probed(
+    def translate(
         self, vpn: int, l1_entry: LocalPTE | None
-    ) -> tuple[LocalPTE | None, int, bool]:
-        """:meth:`lookup` given the L1 entry a caller already peeked.
+    ) -> tuple[LocalPTE | None, int]:
+        """The two-level lookup, given the L1 entry a caller peeked.
 
-        The engine probes the L1 once per access to decide whether it
-        is steady; this finishes the lookup from that probe, so a hit
-        or miss is still counted exactly once.
+        Returns ``(pte, latency)``; ``pte`` is None when both levels
+        missed and a page-table walk is needed.  The engine probes the
+        L1 once per access to decide whether it is steady; this
+        finishes the lookup from that probe, so a hit or miss is
+        still counted exactly once.
         """
-        latency = self.l1.config.lookup_latency
+        l1 = self.l1
+        latency = l1.config.lookup_latency
         if l1_entry is not None:
-            self.l1.record_hit(vpn)
-            return l1_entry, latency, False
-        self.l1.misses += 1
-        latency += self.l2.config.lookup_latency
+            l1.record_hit(vpn)
+            return l1_entry, latency
+        l1.misses += 1
         pte = self.l2.lookup(vpn)
         if pte is not None:
-            self.l1.insert(vpn, pte)
-            return pte, latency, False
-        return None, latency, True
+            l1.insert(vpn, pte)
+        return pte, latency + self.l2.config.lookup_latency
 
     def fill(self, vpn: int, pte: LocalPTE) -> None:
         """Install a translation in both levels after a walk/fault."""

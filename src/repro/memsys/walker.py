@@ -62,33 +62,32 @@ class PageTableWalker:
         #: behind the 8 shared walkers.
         self._recent_walks = 0
         self._window_anchor = 0
+        #: Walk latencies on a walk-cache hit (leaf only) and miss.
+        self._cached_latency = config.cached_walk_latency
+        self._full_latency = config.full_walk_latency
         #: Window width (cycles) over which concurrent walks contend.
-        self._window = config.full_walk_latency
+        self._window = self._full_latency
 
     def walk(self, vpn: int, now: int) -> int:
         """Return the latency of a local page-table walk started at ``now``."""
         self.walks += 1
         if self.walk_cache.probe(vpn):
-            latency = self.config.cached_walk_latency
+            latency = self._cached_latency
         else:
-            latency = self.config.full_walk_latency
-        latency += self._queue_penalty(now)
-        return latency
-
-    def _queue_penalty(self, now: int) -> int:
-        """Queueing delay when walks pile up faster than walkers drain."""
+            latency = self._full_latency
+        # Queueing delay when walks pile up faster than walkers drain.
         if now - self._window_anchor > self._window:
             self._window_anchor = now
             self._recent_walks = 0
         self._recent_walks += 1
         overflow = self._recent_walks - self.config.walkers
         if overflow <= 0:
-            return 0
+            return latency
         # Each excess walk waits behind one walker's leaf fetch.
-        penalty = overflow * self.config.latency_per_level
+        latency += overflow * self.config.latency_per_level
         beyond_queue = overflow - self.config.walk_queue_entries
         if beyond_queue > 0:
             # The 64-entry walk queue is full too: late arrivals stall
             # until a whole walk drains, not just a leaf fetch.
-            penalty += beyond_queue * self.config.full_walk_latency
-        return penalty
+            latency += beyond_queue * self._full_latency
+        return latency

@@ -44,6 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.gpu import GpuNode
     from repro.stats.events import EventLog
 
+#: Run-ahead bound when the scheduled GPU is the only one left.
+_NO_RIVAL = (float("inf"), 0)
+
 
 class Engine:
     """Runs one workload trace under one placement policy."""
@@ -149,110 +152,131 @@ class Engine:
             now, gpu_id = heap[0]
             node = gpus[gpu_id]
             if now != node.clock:
-                # Stale entry: a policy interval hook advanced this
-                # GPU's clock behind the heap's back (clocks only
-                # grow, so the refreshed entry re-sorts correctly).
+                # Stale entry: a hook or drain advanced this GPU's
+                # clock behind the heap's back (clocks only grow, so
+                # the refreshed entry re-sorts correctly).
                 heapq.heapreplace(heap, (node.clock, gpu_id))
                 continue
-            boundary = False
-            if next_interval is not None and now >= next_interval:
-                boundary = True
-                policy.on_interval(now)
-                if observation is not None:
-                    observation.tracer.instant(
-                        "policy_interval", ENGINE_TRACK, now
-                    )
-                # Realign instead of stepping one interval: a drain
-                # that jumped the clock past several boundaries fires
-                # the hook once (skipped boundaries coalesce) and the
-                # next boundary is the first one after ``now`` — the
-                # same catch-up rule the observation sampler uses.
-                next_interval = (now // interval + 1) * interval
-            if obs_next is not None and now >= obs_next:
-                boundary = True
-                observation.sample(now)
-                obs_next = (
-                    now // observation.sample_interval + 1
-                ) * observation.sample_interval
-            if boundary and fastpath is not None:
-                # The hooks may have moved mappings the fast path's
-                # cached verifications rely on.
-                fastpath.invalidate(gpu_id)
-            # The one L1 probe of this access, shared by the steady
-            # test, the fast round and the scalar pipeline.
+            # Run-ahead: this GPU keeps replaying while it sorts before
+            # the heap's next-smallest entry (a child of the root).  A
+            # stale entry lags its GPU's clock, so it can only end a
+            # run early; the order is exactly the heap's.
+            rival = min(heap[1:3], default=_NO_RIVAL)
             cursor = cursors[gpu_id]
-            base_vpn, is_write = cursor.peek()
-            vpn = base_vpn >> fold_shift
-            entry = l1s[gpu_id].peek(vpn)
-            steady = (
-                entry is not None
-                and entry.location == gpu_id
-                and (not is_write or (entry.writable and not gps_writes))
-            )
-            if steady and fastpath is not None and not boundary:
-                # Steady-state fast round: batch every GPU's verified
-                # steady prefix up to the joint horizon.  Skipped on a
-                # boundary iteration — the hook may have moved clocks,
-                # and this access must replay with the pre-hook
-                # ``now`` exactly like the classic loop.
-                if hold:
-                    hold -= 1
-                else:
-                    planned = len(heap)
-                    committed = fastpath.round(heap, next_interval, obs_next)
-                    if committed > planned:
-                        backoff = 1
-                    else:
-                        hold = backoff
-                        backoff = min(backoff * 2, CURSOR_CHUNK)
-                    if committed:
-                        continue
-            # Consume the probed access; priced one at a time below.
-            stage.next_access(gpu_id)
-            if timeline is not None:
-                timeline.record(now, gpu_id, base_vpn, is_write)
-            counters.record_access(is_write)
-            if steady:
-                # Inline steady hit: exactly what the scalar pipeline
-                # charges an L1 hit on a local page it may access.
-                if fastpath is not None:
-                    fastpath.forget(gpu_id)
-                l1s[gpu_id].record_hit(vpn)
-                cycles = l1_latency + kernel.local_access(
-                    gpu_id, now + l1_latency
-                )
-                if is_write:
-                    node.dram.mark_dirty(vpn)
-                else:
-                    node.dram.touch(vpn)
-                node.clock = now + cycles + issue_gap
-            else:
-                if fastpath is not None:
-                    # Scalar accesses can fault, fill, migrate, or
-                    # evict — anything the fast path verified against
-                    # may change, so flag its cached verifications
-                    # for revalidation.
+            l1 = l1s[gpu_id]
+            dram = node.dram
+            while True:
+                boundary = False
+                if next_interval is not None and now >= next_interval:
+                    boundary = True
+                    policy.on_interval(now)
+                    if observation is not None:
+                        observation.tracer.instant(
+                            "policy_interval", ENGINE_TRACK, now
+                        )
+                    # Realign instead of stepping one interval: a drain
+                    # that jumped the clock past several boundaries
+                    # fires the hook once (skipped boundaries coalesce)
+                    # and the next boundary is the first after ``now``,
+                    # the catch-up rule the observation sampler uses.
+                    next_interval = (now // interval + 1) * interval
+                if obs_next is not None and now >= obs_next:
+                    boundary = True
+                    observation.sample(now)
+                    obs_next = (
+                        now // observation.sample_interval + 1
+                    ) * observation.sample_interval
+                if boundary and fastpath is not None:
+                    # The hooks may have moved mappings the fast
+                    # path's cached verifications rely on.
                     fastpath.invalidate(gpu_id)
-                cycles, parked = self._service_access(
-                    gpu_id, node, vpn, is_write, now, entry
+                # Peek only if a fast round may batch this access.  No
+                # round on a boundary iteration: the hook may have moved
+                # clocks, and this access replays with the pre-hook
+                # ``now`` like the classic loop.
+                may_round = fastpath is not None and not boundary
+                if may_round and not hold:
+                    base_vpn, is_write = cursor.peek()
+                    vpn = base_vpn >> fold_shift
+                    consumed = False
+                else:
+                    base_vpn, vpn, is_write = stage.next_access(gpu_id)
+                    consumed = True
+                # The one L1 probe of this access, shared by the
+                # steady test, the fast round and the scalar pipeline.
+                entry = l1.peek(vpn)
+                steady = (
+                    entry is not None
+                    and entry.location == gpu_id
+                    and (not is_write or (entry.writable and not gps_writes))
                 )
-                node.clock = now + cycles + issue_gap
-                if parked and service.should_drain(gpu_id):
-                    node.clock += self._drain_faults(
-                        gpu_id, node, node.clock
-                    )
-            if cursor.exhausted:
-                heapq.heappop(heap)
-                # End of stream: nothing left to overlap parked faults
-                # with, so flush this GPU's partial batch.
-                if not inline and service.pending(gpu_id):
+                if steady and may_round:
+                    # Yield gate (see above): price inline while held.
+                    if hold:
+                        hold -= 1
+                    else:
+                        heap[0] = (now, gpu_id)
+                        planned = len(heap)
+                        committed = fastpath.round(
+                            heap, next_interval, obs_next
+                        )
+                        if committed > planned:
+                            backoff = 1
+                        else:
+                            hold = backoff
+                            backoff = min(backoff * 2, CURSOR_CHUNK)
+                        if committed:
+                            # The round rebuilt the heap.
+                            break
+                if not consumed:
+                    stage.next_access(gpu_id)
+                if timeline is not None:
+                    timeline.record(now, gpu_id, base_vpn, is_write)
+                counters.record_access(is_write)
+                if steady:
+                    # Inline steady hit: exactly what the pipeline
+                    # charges an L1 hit on a local page it may access.
                     if fastpath is not None:
-                        fastpath.invalidate(gpu_id)
-                    node.clock += self._drain_faults(
-                        gpu_id, node, node.clock
+                        fastpath.forget(gpu_id)
+                    l1.record_hit(vpn)
+                    cycles = l1_latency + kernel.local_access(
+                        gpu_id, now + l1_latency
                     )
-            else:
-                heapq.heapreplace(heap, (node.clock, gpu_id))
+                    if is_write:
+                        dram.mark_dirty(vpn)
+                    else:
+                        dram.touch(vpn)
+                    node.clock = now + cycles + issue_gap
+                else:
+                    if fastpath is not None:
+                        # Scalar accesses can fault, fill, migrate, or
+                        # evict — anything the fast path verified
+                        # against may change, so flag its cached
+                        # verifications for revalidation.
+                        fastpath.invalidate(gpu_id)
+                    cycles, parked = self._service_access(
+                        gpu_id, node, vpn, is_write, now, entry
+                    )
+                    node.clock = now + cycles + issue_gap
+                    if parked and service.should_drain(gpu_id):
+                        node.clock += self._drain_faults(
+                            gpu_id, node, node.clock
+                        )
+                if cursor.exhausted:
+                    heapq.heappop(heap)
+                    # End of stream: nothing left to overlap parked
+                    # faults with, so flush this GPU's partial batch.
+                    if not inline and service.pending(gpu_id):
+                        if fastpath is not None:
+                            fastpath.invalidate(gpu_id)
+                        node.clock += self._drain_faults(
+                            gpu_id, node, node.clock
+                        )
+                    break
+                now = node.clock
+                if (now, gpu_id) > rival:
+                    heapq.heapreplace(heap, (now, gpu_id))
+                    break
 
         return self._build_result()
 
@@ -272,13 +296,12 @@ class Engine:
         its remainder (TLB fill, protection check, data access) is
         deferred to the post-drain replay.
         """
-        outcome = self.stage.lookup(node, vpn, is_write, now, l1_entry)
-        cycles = outcome.cycles
-        pte = outcome.pte
-        if outcome.l2_missed:
+        pte, cycles, page = self.stage.lookup(node, vpn, now, l1_entry)
+        if page is not None:
+            # Both TLBs missed: fault if unmapped, then refill.
             if pte is None:
                 serviced = self.fault_service.submit(
-                    gpu_id, vpn, is_write, now, page=outcome.page
+                    gpu_id, vpn, is_write, now, page=page
                 )
                 if serviced is None:
                     return cycles, True

@@ -19,8 +19,8 @@ The engine prices a steady access inline, in every contention mode:
 L1 promote and hit count, one ``local_access`` charge, the DRAM touch
 or dirty mark, and the clock advance.  Every other access goes through
 the scalar pipeline, which finishes the TLB lookup from the same probe
-(:meth:`~repro.memsys.tlb.TLBHierarchy.lookup_probed`), so a hit or
-miss is counted once.
+(:meth:`~repro.memsys.tlb.TLBHierarchy.translate`), so a hit or miss
+is counted once.
 
 **Batched rounds.**  In flat contention mode a steady access may
 instead start a :meth:`FastPath.round`, which prices every GPU's run

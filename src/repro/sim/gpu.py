@@ -27,7 +27,10 @@ class GpuNode:
     def invalidate_translation(self, vpn: int) -> bool:
         """Drop PTE + TLB entries for ``vpn``; True if the PTE existed."""
         had_pte = self.page_table.invalidate(vpn)
-        self.tlbs.invalidate(vpn)
+        if had_pte:
+            # A TLB entry implies a PTE (the sanitizer's TLB coherence
+            # check), so only a GPU that had one needs a shootdown.
+            self.tlbs.invalidate(vpn)
         return had_pte
 
     def fill_translation(self, vpn: int, pte: LocalPTE) -> None:

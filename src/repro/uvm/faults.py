@@ -10,16 +10,14 @@ fault-service pipeline drains (see ``repro.uvm.fault_service``).
 
 from __future__ import annotations
 
-import dataclasses
-from typing import List
+from typing import List, NamedTuple
 
 from repro.constants import FaultKind
 from repro.errors import SimulationError
 
 
-@dataclasses.dataclass(frozen=True)
-class FaultEvent:
-    """One UVM fault, as delivered to the host driver."""
+class FaultEvent(NamedTuple):
+    """One UVM fault, as delivered to the host driver (immutable)."""
 
     kind: FaultKind
     gpu: int
@@ -40,13 +38,7 @@ class FaultEvent:
                 f"{other.vpn}) into (gpu {self.gpu}, vpn {self.vpn})"
             )
         if other.is_write and not self.is_write:
-            return FaultEvent(
-                kind=self.kind,
-                gpu=self.gpu,
-                vpn=self.vpn,
-                is_write=True,
-                cycle=self.cycle,
-            )
+            return self._replace(is_write=True)
         return self
 
 
@@ -77,12 +69,13 @@ class FaultBuffer:
 
     def deposit(self, event: FaultEvent) -> None:
         """Append one fault; raises if the buffer is already full."""
-        if self.full:
+        pending = self._pending
+        if len(pending) >= self.capacity:
             raise SimulationError(
                 f"fault buffer overflow on GPU {event.gpu}: "
                 f"{self.capacity} faults already pending"
             )
-        self._pending.append(event)
+        pending.append(event)
 
     def drain(self) -> List[FaultEvent]:
         """Remove and return every pending fault, in arrival order."""

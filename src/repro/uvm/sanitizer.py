@@ -17,6 +17,9 @@ Invariants checked (see docs/static_analysis.md for the catalog):
   never its own replica, and replicas imply a GPU owner;
 * **translation** — every local PTE points at a node that actually
   holds the page;
+* **TLB coherence** — every L1/L2 TLB entry of a GPU has a PTE in that
+  GPU's local page table (TLBs are filled only from PTEs, which lets a
+  shootdown skip GPUs without the PTE);
 * **replica protection** — while replicas exist every mapping of the
   page is read-only, so writes fault and collapse (policies with GPS or
   Ideal semantics opt out via ``enforces_replica_protection``);
@@ -83,6 +86,7 @@ class MachineSanitizer:
         found: List[str] = []
         self._check_pages(found)
         self._check_translations(found)
+        self._check_tlbs(found)
         self._check_residency(found)
         self._check_groups(found)
         self._check_access_counters(found)
@@ -157,6 +161,17 @@ class MachineSanitizer:
                         f"{vpn} while replicas {sorted(page.replicas)} "
                         f"exist (writes must fault and collapse)"
                     )
+
+    def _check_tlbs(self, found: List[str]) -> None:
+        """TLB coherence: every cached translation has a local PTE."""
+        for gpu in self.machine.gpus:
+            for level, tlb in (("L1", gpu.tlbs.l1), ("L2", gpu.tlbs.l2)):
+                for vpn in sorted(tlb.cached_vpns()):
+                    if vpn not in gpu.page_table:
+                        found.append(
+                            f"gpu {gpu.gpu_id}: {level} TLB caches vpn "
+                            f"{vpn} with no local PTE (stale shootdown)"
+                        )
 
     def _check_residency(self, found: List[str]) -> None:
         """Residency: DRAM frames only hold pages the GPU is party to."""

@@ -8,6 +8,7 @@ have no golden — batching deliberately changes timing — so they are
 checked for determinism and for the batching model's invariants.
 """
 
+import hashlib
 import json
 import pathlib
 
@@ -16,6 +17,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.policies import make_policy
 from repro.sim.engine import Engine, simulate
+from repro.sim.pipeline import TranslationStage
 from repro.workloads.registry import make_workload
 
 GOLDEN_PATH = (
@@ -189,6 +191,66 @@ class TestTranslationStatistics:
             got, trace.streams
         ):
             assert l1_hits + l1_misses == len(vpns)
+
+
+#: ``(gpu_id, base_vpn)`` sequence of every access the engine consumed
+#: through ``TranslationStage.next_access`` (every access a fast round
+#: did not batch), as ``(length, sha256)``.  Captured before the engine
+#: dispatched a GPU's accesses in runs; the goldens see the dispatch
+#: order only through totals, so a reordering that happens to keep
+#: them shows only here.
+DISPATCH_ORDER_CASES = {
+    "bfs/grit/8gpu-nvswitch-queued-batch16": (
+        "bfs", "grit",
+        {
+            "num_gpus": 8,
+            "topology": "nvswitch",
+            "contention": "queued",
+            "fault_batch_size": 16,
+        },
+        8064,
+        "6325f418b7fff0529d3305e07b659a115a33c1438f0b8c860d7d1d47638b425f",
+    ),
+    "st/grit/no-fast-path": (
+        "st", "grit", {"fast_path": False},
+        12728,
+        "26de265da8345a901412fdd4553dd76bd38a32ea9ec9a410ab62c75a2a209dfa",
+    ),
+    "fir/on_touch/fast-path": (
+        "fir", "on_touch", {"fast_path": True},
+        480,
+        "ccc3827fbfcda9bcc6e8e6a0518e6c1541e03394a99a65cd36bf35f40f4a2dde",
+    ),
+}
+
+
+class TestDispatchOrder:
+    """The engine consumes accesses in the captured order."""
+
+    @pytest.mark.parametrize("key", sorted(DISPATCH_ORDER_CASES))
+    def test_next_access_sequence(self, key, monkeypatch):
+        workload, policy, changes, length, digest = (
+            DISPATCH_ORDER_CASES[key]
+        )
+        # The cases pin their own configuration.
+        for name in ("GRIT_CONTENTION", "GRIT_TOPOLOGY", "GRIT_FAST_PATH"):
+            monkeypatch.delenv(name, raising=False)
+        consumed = []
+        next_access = TranslationStage.next_access
+
+        def recording(stage, gpu_id):
+            access = next_access(stage, gpu_id)
+            consumed.append(f"{gpu_id}:{access[0]}")
+            return access
+
+        monkeypatch.setattr(TranslationStage, "next_access", recording)
+        config = SystemConfig(**{"num_gpus": 4, **changes})
+        trace = make_workload(
+            workload, num_gpus=config.num_gpus, scale=0.05
+        )
+        simulate(config, trace, make_policy(policy))
+        got = hashlib.sha256(",".join(consumed).encode()).hexdigest()
+        assert (len(consumed), got) == (length, digest)
 
 
 class TestBatchedServicing:

@@ -1,8 +1,24 @@
 """CLI commands (run in-process through main())."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+
+
+def _commands_with_scale():
+    parser = _build_parser()
+    (commands,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return sorted(
+        name
+        for name, sub in commands.choices.items()
+        if any("--scale" in action.option_strings for action in sub._actions)
+    )
 
 
 class TestList:
@@ -24,6 +40,40 @@ class TestRun:
     def test_run_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             main(["run", "nope", "grit"])
+
+
+class TestBadInput:
+    """Bad configuration exits 2 with one line, not a traceback."""
+
+    def test_invalid_page_size(self, capsys):
+        argv = ["run", "fir", "on_touch", "--page-size", "3000"]
+        assert main([*argv, "--scale", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "page size" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_invalid_contention_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("GRIT_CONTENTION", "bogus")
+        assert main(["run", "fir", "on_touch", "--scale", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: GRIT_CONTENTION='bogus' is not one of none/queued\n"
+        )
+
+    def test_scale_commands_cover_the_cli(self):
+        assert set(_commands_with_scale()) >= {
+            "bench", "characterize", "dump-trace", "figure", "inspect",
+            "profile", "report", "run", "sweep", "trace",
+        }
+
+    @pytest.mark.parametrize("command", _commands_with_scale())
+    @pytest.mark.parametrize("scale", ["0", "-1", "nan"])
+    def test_non_positive_scale_is_rejected(self, command, scale, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--scale", scale])
+        assert excinfo.value.code == 2
+        assert "--scale: must be positive" in capsys.readouterr().err
 
 
 class TestFigure:

@@ -5,7 +5,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.constants import HOST_NODE, GroupBits
 from repro.errors import SanitizerError
-from repro.policies import make_policy
+from repro.policies import available_policies, make_policy
 from repro.sim import simulate
 from repro.uvm.driver import UvmDriver
 from repro.uvm.machine import MachineState
@@ -129,6 +129,24 @@ class TestInvariantViolations:
         assert any("writes must fault" in v for v in violations)
         assert machine.check_invariants(allow_writable_replicas=True) == []
 
+    def test_tlb_entry_without_a_pte(self):
+        # A shootdown that skipped a GPU holding a cached translation
+        # leaves a TLB entry behind its removed PTE.
+        machine = _machine()
+        page = machine.central_pt.get(13)
+        page.owner = 0
+        machine.gpus[0].dram.install(13)
+        gpu = machine.gpus[0]
+        gpu.page_table.map(13, 0, writable=True)
+        gpu.fill_translation(13, gpu.page_table.lookup(13))
+        assert machine.check_invariants() == []
+        gpu.page_table.invalidate(13)
+        violations = machine.check_invariants()
+        assert any("L1 TLB caches vpn 13" in v for v in violations)
+        assert any("L2 TLB caches vpn 13" in v for v in violations)
+        with pytest.raises(SanitizerError, match="no local PTE"):
+            MachineSanitizer(machine).check("stale shootdown")
+
     def test_dram_frame_without_holding_the_page(self):
         machine = _machine()
         page = machine.central_pt.get(11)
@@ -187,3 +205,21 @@ class TestDriverIntegration:
             sanitizer.check("poke(5)")
         assert "after poke(5)" in str(excinfo.value)
         assert "not a node" in str(excinfo.value)
+
+
+#: The shootdown shortcut fires most on 8 GPUs under queued batching.
+SCALE_OUT = {
+    "num_gpus": 8,
+    "topology": "nvswitch",
+    "contention": "queued",
+    "fault_batch_size": 16,
+}
+
+
+@pytest.mark.parametrize("changes", [{}, SCALE_OUT], ids=["4gpu", "8gpu"])
+@pytest.mark.parametrize("policy_name", available_policies())
+def test_every_policy_keeps_tlbs_coherent(policy_name, changes):
+    config = SystemConfig(**{"num_gpus": 4, "sanitize": True, **changes})
+    trace = make_workload("bfs", num_gpus=config.num_gpus, scale=0.05)
+    result = simulate(config, trace, make_policy(policy_name))
+    assert result.total_cycles > 0
