@@ -5,8 +5,9 @@ this cache persists result *summaries* (cycles, counters, breakdown —
 everything the figures consume) as one JSON file per run key, so
 repeated CLI invocations and benchmark reruns skip simulation.
 
-Keys include a fingerprint of the base configuration, so changing any
-latency constant or Table I parameter invalidates the cache
+Keys include a fingerprint of the configuration each run simulates,
+so changing any latency constant or Table I parameter — or flipping
+``GRIT_CONTENTION``/``GRIT_TOPOLOGY`` — invalidates the cache
 automatically.  Entries additionally carry a ``schema_version``;
 entries written by a different schema (renamed counters, new latency
 categories) are treated as misses rather than silently rehydrated with
@@ -29,7 +30,9 @@ from typing import Dict
 from repro.config import SystemConfig
 from repro.constants import LatencyCategory, Scheme
 from repro.harness.experiment import ExperimentRunner, RunKey
+from repro.interconnect.routing import topology_spec
 from repro.sim.result import SimulationResult
+from repro.sim.timing import contention_mode
 from repro.stats.counters import EventCounters
 from repro.stats.latency import LatencyBreakdown
 
@@ -46,8 +49,16 @@ class StaleCacheEntry(ValueError):
 
 
 def config_fingerprint(config: SystemConfig) -> str:
-    """Stable hash of every configuration value."""
-    payload = json.dumps(config.to_dict(), sort_keys=True)
+    """Stable hash of every configuration value, as the run sees it.
+
+    Contention mode and topology are hashed as resolved, environment
+    overrides included, so a result cached in one mode is never served
+    in another.
+    """
+    data = config.to_dict()
+    data["contention"] = contention_mode(config)
+    data["topology"] = topology_spec(config).describe()
+    payload = json.dumps(data, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -95,7 +106,6 @@ def _deserialize(data: Dict[str, object]) -> SimulationResult:
             raise StaleCacheEntry(
                 f"cache entry has unknown counter {name!r}"
             )
-        # simlint: ignore[GRIT-P001]  (names validated against vars())
         setattr(counters, name, value)
     counters.scheme_usage = {
         Scheme[name]: count
@@ -136,7 +146,6 @@ class DiskCachedRunner(ExperimentRunner):
         )
         self.cache_dir = str(cache_dir)
         os.makedirs(self.cache_dir, exist_ok=True)
-        self._fingerprint = config_fingerprint(self.base_config)
         self.disk_hits = 0
         self.disk_misses = 0
 
@@ -144,8 +153,9 @@ class DiskCachedRunner(ExperimentRunner):
         """Serve from memory, then disk, then simulate (and persist)."""
         if key in self._cache:
             return self._cache[key]
+        fingerprint = config_fingerprint(self.config_for(key))
         path = os.path.join(
-            self.cache_dir, _key_filename(key, self._fingerprint)
+            self.cache_dir, _key_filename(key, fingerprint)
         )
         result = self._load(path)
         if result is not None:

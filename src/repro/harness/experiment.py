@@ -86,15 +86,11 @@ class ExperimentRunner:
         self.last_observation = None
         self._cache: Dict[RunKey, SimulationResult] = {}
 
-    def run(self, key: RunKey) -> SimulationResult:
-        """Fetch (simulating on first use) the result for ``key``."""
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.last_observation = None
-            return cached
+    def config_for(self, key: RunKey) -> SystemConfig:
+        """The system configuration ``key`` simulates."""
         from repro.constants import EvictionPolicy
 
-        config = self.base_config.replace(
+        return self.base_config.replace(
             num_gpus=key.num_gpus,
             page_size=key.page_size,
             dram_footprint_fraction=key.dram_fraction,
@@ -108,6 +104,14 @@ class ExperimentRunner:
                 max_group_pages=key.max_group_pages,
             ),
         )
+
+    def run(self, key: RunKey) -> SimulationResult:
+        """Fetch (simulating on first use) the result for ``key``."""
+        cached = self._cache.get(key)
+        if cached is not None:
+            self.last_observation = None
+            return cached
+        config = self.config_for(key)
         trace = make_workload(
             key.workload, num_gpus=key.num_gpus, scale=key.scale
         )

@@ -20,12 +20,6 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Tuple, Type
 
-from repro.lint.cache import (
-    AnalysisCache,
-    CacheStats,
-    content_hash,
-    project_key,
-)
 from repro.lint.findings import Finding, Severity
 from repro.lint.suppress import apply_suppressions
 from repro.lint.symbols import ModuleInfo, SymbolTable, parse_module
@@ -172,20 +166,10 @@ class LintEngine:
         package_root: Path,
         repo_root: Path | None = None,
         rules: Iterable[Rule] | None = None,
-        cache_path: Path | None = None,
     ) -> None:
         self.package_root = package_root
         self.repo_root = repo_root
         self.rules = list(rules) if rules is not None else make_rules()
-        # A custom rule set would poison cached results, so the cache
-        # only engages for the full default catalog.
-        self._cache = (
-            AnalysisCache(cache_path)
-            if cache_path is not None and rules is None
-            else None
-        )
-        #: Cache behavior of the most recent :meth:`run`.
-        self.stats = CacheStats()
 
     def run(self, paths: Iterable[Path] | None = None) -> List[Finding]:
         """Lint the package (or just ``paths``) and return findings.
@@ -193,30 +177,8 @@ class LintEngine:
         Project-wide rules always see the whole package; explicit
         ``paths`` narrow only the file-scope rules (and may point at
         files outside the package, e.g. violation fixtures — those are
-        checked by every unscoped rule).  The result cache only
-        engages on whole-package runs.
+        checked by every unscoped rule).
         """
-        self.stats = CacheStats()
-        use_cache = self._cache is not None and paths is None
-        file_hashes: Dict[str, str] = {}
-        run_key = ""
-        if use_cache:
-            assert self._cache is not None
-            for path in sorted(self.package_root.rglob("*.py")):
-                relpath = path.relative_to(self.package_root).as_posix()
-                file_hashes[relpath] = content_hash(path)
-            hashes = dict(file_hashes)
-            for doc in self._doc_paths():
-                hashes[f"doc:{doc.name}"] = content_hash(doc)
-            run_key = project_key(hashes)
-            self.stats.modules = len(file_hashes)
-            cached = self._cache.project_findings(run_key)
-            if cached is not None:
-                # Fully warm: raw bytes matched, so the stored result
-                # is the answer — no parse, no rules.
-                self.stats.project_hit = True
-                self.stats.module_hits = len(file_hashes)
-                return cached
         symbols = SymbolTable.scan(self.package_root, self.repo_root)
         findings: List[Finding] = [
             Finding(
@@ -230,28 +192,12 @@ class LintEngine:
             for relpath, line, message in symbols.parse_failures
         ]
         suppressible: Dict[str, ModuleInfo] = dict(symbols.modules)
-        processed = 0
         for module in self._select_modules(symbols, paths):
             if isinstance(module, Finding):
                 findings.append(module)
                 continue
-            processed += 1
             suppressible[module.relpath] = module
-            rows: List[Finding] | None = None
-            sha = file_hashes.get(module.relpath)
-            if use_cache and sha is not None:
-                assert self._cache is not None
-                rows = self._cache.module_findings(module.relpath, sha)
-                if rows is not None:
-                    self.stats.module_hits += 1
-            if rows is None:
-                rows = check_module(module, self.rules)
-                if use_cache and sha is not None:
-                    assert self._cache is not None
-                    self._cache.store_module(module.relpath, sha, rows)
-            findings.extend(rows)
-        if not use_cache:
-            self.stats.modules = processed
+            findings.extend(check_module(module, self.rules))
         for candidate in self.rules:
             if isinstance(candidate, ProjectRule):
                 findings.extend(candidate.check_project(symbols))
@@ -260,24 +206,7 @@ class LintEngine:
         )
         findings = kept + unused
         findings.sort(key=Finding.sort_key)
-        if use_cache:
-            assert self._cache is not None
-            self._cache.store_project(run_key, findings)
-            self._cache.save()
         return findings
-
-    def _doc_paths(self) -> List[Path]:
-        """Prose files the documentation rules read (part of the key)."""
-        if self.repo_root is None:
-            return []
-        docs: List[Path] = []
-        readme = self.repo_root / "README.md"
-        if readme.is_file():
-            docs.append(readme)
-        docs_dir = self.repo_root / "docs"
-        if docs_dir.is_dir():
-            docs.extend(sorted(docs_dir.glob("*.md")))
-        return docs
 
     def _select_modules(
         self, symbols: SymbolTable, paths: Iterable[Path] | None

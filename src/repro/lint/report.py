@@ -28,14 +28,8 @@ def render_text(findings: List[Finding]) -> str:
     return "\n".join([*lines, summary])
 
 
-def render_json(
-    findings: List[Finding], extra: Dict[str, object] | None = None
-) -> str:
-    """JSON document with one row per finding plus totals.
-
-    ``extra`` entries (cache statistics, baseline counts) are merged
-    into the top-level document.
-    """
+def render_json(findings: List[Finding]) -> str:
+    """JSON document with one row per finding plus totals."""
     document: Dict[str, object] = {
         "findings": [finding.to_dict() for finding in findings],
         "errors": sum(
@@ -49,8 +43,6 @@ def render_json(
             if finding.severity is Severity.WARNING
         ),
     }
-    if extra:
-        document.update(extra)
     return json.dumps(document, indent=2)
 
 
@@ -89,66 +81,35 @@ def _sarif_rules() -> List[Dict[str, object]]:
     return catalog
 
 
-def _sarif_location(
-    path: str, line: int, col: int, uri_prefix: str
-) -> Dict[str, object]:
-    return {
-        "physicalLocation": {
-            "artifactLocation": {"uri": uri_prefix + path},
-            "region": {
-                "startLine": max(line, 1),
-                "startColumn": col + 1,
-            },
-        }
-    }
-
-
 def render_sarif(
     findings: List[Finding], uri_prefix: str = ""
 ) -> str:
     """SARIF 2.1.0 document (GitHub code-scanning compatible).
 
     ``uri_prefix`` maps package-relative finding paths onto
-    repo-relative artifact URIs (e.g. ``"src/repro/"``).  Taint traces
-    become SARIF ``codeFlows`` so the code-scanning UI renders the
-    full source-to-sink path.
+    repo-relative artifact URIs (e.g. ``"src/repro/"``).
     """
-    results: List[Dict[str, object]] = []
-    for finding in findings:
-        result: Dict[str, object] = {
+    results = [
+        {
             "ruleId": finding.rule_id,
             "level": finding.severity.value,
             "message": {"text": finding.message},
             "locations": [
-                _sarif_location(
-                    finding.path, finding.line, finding.col, uri_prefix
-                )
+                {
+                    "physicalLocation": {
+                        "artifactLocation": {
+                            "uri": uri_prefix + finding.path
+                        },
+                        "region": {
+                            "startLine": max(finding.line, 1),
+                            "startColumn": finding.col + 1,
+                        },
+                    }
+                }
             ],
         }
-        if finding.trace:
-            result["codeFlows"] = [
-                {
-                    "threadFlows": [
-                        {
-                            "locations": [
-                                {
-                                    "location": {
-                                        **_sarif_location(
-                                            step.path,
-                                            step.line,
-                                            0,
-                                            uri_prefix,
-                                        ),
-                                        "message": {"text": step.note},
-                                    }
-                                }
-                                for step in finding.trace
-                            ]
-                        }
-                    ]
-                }
-            ]
-        results.append(result)
+        for finding in findings
+    ]
     document = {
         "$schema": _SARIF_SCHEMA,
         "version": "2.1.0",

@@ -100,7 +100,6 @@ class UvmDriver:
         the sanitizer is off (no per-call flag test at all).
         """
         for name in _SANITIZED_OPERATIONS:
-            # simlint: ignore[GRIT-P001]  (hook install is the point)
             setattr(self, name, self._sanitized(getattr(self, name), name))
 
     def _sanitized(self, operation, name: str):
@@ -127,7 +126,6 @@ class UvmDriver:
         its consistency sweep.
         """
         for name in _TRACED_OPERATIONS:
-            # simlint: ignore[GRIT-P001]  (hook install is the point)
             setattr(self, name, self._traced(getattr(self, name), name))
 
     def _traced(self, operation, name: str):

@@ -61,6 +61,18 @@ class TestDiskCachedRunner:
         assert other.disk_hits == 0
         assert other.disk_misses == 1
 
+    def test_contention_env_override_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("GRIT_CONTENTION", raising=False)
+        first = DiskCachedRunner(tmp_path, scale=0.05)
+        flat = first.run(first.key("fir", "grit"))
+        monkeypatch.setenv("GRIT_CONTENTION", "queued")
+        second = DiskCachedRunner(tmp_path, scale=0.05)
+        queued = second.run(second.key("fir", "grit"))
+        assert second.disk_hits == 0
+        assert second.disk_misses == 1
+        assert not queued.details.get("from_cache")
+        assert queued.total_cycles != flat.total_cycles
+
     def test_distinct_keys_distinct_files(self, tmp_path):
         runner = DiskCachedRunner(tmp_path, scale=0.05)
         runner.run(runner.key("fir", "on_touch"))

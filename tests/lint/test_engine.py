@@ -96,6 +96,21 @@ class TestEngineMechanics:
         assert len(parse_errors) == 1
         assert parse_errors[0].severity is Severity.ERROR
 
+    def test_syntax_error_degrades_to_parse_finding(self, tmp_path):
+        root = tmp_path / "pkg"
+        (root / "sim").mkdir(parents=True)
+        (root / "sim" / "broken.py").write_text("def oops(:\n")
+        (root / "sim" / "ok.py").write_text(
+            "import time\n"
+            "\n"
+            "def stamp():\n"
+            "    return time.time()\n"
+        )
+        findings = LintEngine(root).run()
+        assert [f for f in findings if f.rule_id == PARSE_ERROR_RULE_ID]
+        # The parseable module is still linted.
+        assert [f for f in findings if f.rule_id == "GRIT-D001"]
+
     def test_single_walk_dispatch_reaches_all_rules(self, tmp_path):
         fixture = tmp_path / "fixture.py"
         fixture.write_text(
