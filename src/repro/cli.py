@@ -802,7 +802,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         observe=observe,
         telemetry_dir=args.telemetry_dir,
     )
-    runner._cache.update(summary.results)
+    runner.remember(summary.results)
     if observe:
         status = _write_sweep_telemetry(args, summary)
         if status != 0:

@@ -29,10 +29,12 @@ from typing import Dict
 
 from repro.config import SystemConfig
 from repro.constants import LatencyCategory, Scheme
-from repro.harness.experiment import ExperimentRunner, RunKey
-from repro.interconnect.routing import topology_spec
+from repro.harness.experiment import (
+    ExperimentRunner,
+    RunKey,
+    config_fingerprint,
+)
 from repro.sim.result import SimulationResult
-from repro.sim.timing import contention_mode
 from repro.stats.counters import EventCounters
 from repro.stats.latency import LatencyBreakdown
 
@@ -46,20 +48,6 @@ SCHEMA_VERSION = 2
 
 class StaleCacheEntry(ValueError):
     """A cache file does not match the current result schema."""
-
-
-def config_fingerprint(config: SystemConfig) -> str:
-    """Stable hash of every configuration value, as the run sees it.
-
-    Contention mode and topology are hashed as resolved, environment
-    overrides included, so a result cached in one mode is never served
-    in another.
-    """
-    data = config.to_dict()
-    data["contention"] = contention_mode(config)
-    data["topology"] = topology_spec(config).describe()
-    payload = json.dumps(data, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 def _key_filename(key: RunKey, fingerprint: str) -> str:
@@ -151,15 +139,13 @@ class DiskCachedRunner(ExperimentRunner):
 
     def run(self, key: RunKey) -> SimulationResult:
         """Serve from memory, then disk, then simulate (and persist)."""
-        if key in self._cache:
-            return self._cache[key]
-        fingerprint = config_fingerprint(self.config_for(key))
-        path = os.path.join(
-            self.cache_dir, _key_filename(key, fingerprint)
-        )
+        memo = self.memo_key(key)
+        if memo in self._cache:
+            return self._cache[memo]
+        path = os.path.join(self.cache_dir, _key_filename(*memo))
         result = self._load(path)
         if result is not None:
-            self._cache[key] = result
+            self._cache[memo] = result
             self.disk_hits += 1
             self.last_observation = None
             return result

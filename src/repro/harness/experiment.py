@@ -2,21 +2,27 @@
 
 Every figure slices the same underlying (workload, policy, config) runs,
 so the runner memoizes :class:`SimulationResult` objects by a hashable
-:class:`RunKey`.  Benchmarks and the CLI share one runner per process to
-avoid re-simulating identical configurations.
+:class:`RunKey` plus a fingerprint of the configuration the key
+simulates, as the run would see it (environment overrides included).
+Benchmarks and the CLI share one runner per process to avoid
+re-simulating identical configurations.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import statistics
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.config import SystemConfig
+from repro.interconnect.routing import topology_spec
 from repro.policies import make_policy
 from repro.policies.base import PlacementPolicy
 from repro.prefetch import TreePrefetcher
 from repro.sim import Engine, SimulationResult
+from repro.sim.timing import contention_mode
 from repro.workloads import make_workload
 
 #: The eight Table II applications in the paper's figure order.
@@ -59,6 +65,20 @@ class RunKey:
     counter_threshold: int = 256
 
 
+def config_fingerprint(config: SystemConfig) -> str:
+    """Stable hash of every configuration value, as the run sees it.
+
+    Contention mode and topology are hashed as resolved, environment
+    overrides included, so a result cached in one mode is never served
+    in another.
+    """
+    data = config.to_dict()
+    data["contention"] = contention_mode(config)
+    data["topology"] = topology_spec(config).describe()
+    payload = json.dumps(data, sort_keys=True)
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
 class ExperimentRunner:
     """Runs and caches simulations for figure regeneration.
 
@@ -84,7 +104,8 @@ class ExperimentRunner:
         #: The observation of the most recent *fresh* simulation
         #: (None after a cache hit — cached results carry no spans).
         self.last_observation = None
-        self._cache: Dict[RunKey, SimulationResult] = {}
+        #: ``(key, config_fingerprint)`` -> result.
+        self._cache: Dict[Tuple[RunKey, str], SimulationResult] = {}
 
     def config_for(self, key: RunKey) -> SystemConfig:
         """The system configuration ``key`` simulates."""
@@ -105,13 +126,23 @@ class ExperimentRunner:
             ),
         )
 
+    def memo_key(self, key: RunKey) -> Tuple[RunKey, str]:
+        """``key`` plus the fingerprint of the config it simulates now."""
+        return key, config_fingerprint(self.config_for(key))
+
+    def remember(self, results: Mapping[RunKey, SimulationResult]) -> None:
+        """Adopt results simulated elsewhere (sweep workers) for reuse."""
+        for key, result in results.items():
+            self._cache[self.memo_key(key)] = result
+
     def run(self, key: RunKey) -> SimulationResult:
         """Fetch (simulating on first use) the result for ``key``."""
-        cached = self._cache.get(key)
+        config = self.config_for(key)
+        memo = (key, config_fingerprint(config))
+        cached = self._cache.get(memo)
         if cached is not None:
             self.last_observation = None
             return cached
-        config = self.config_for(key)
         trace = make_workload(
             key.workload, num_gpus=key.num_gpus, scale=key.scale
         )
@@ -133,7 +164,7 @@ class ExperimentRunner:
         if observation is not None and self.artifacts_dir is not None:
             self._export_artifacts(key, result, observation)
         self.last_observation = observation
-        self._cache[key] = result
+        self._cache[memo] = result
         return result
 
     def _export_artifacts(self, key: RunKey, result, observation) -> None:

@@ -877,7 +877,7 @@ def warm_runner_parallel(
         artifacts_dir=runner.artifacts_dir,
         cache_dir=getattr(runner, "cache_dir", None),
     )
-    runner._cache.update(results)
+    runner.remember(results)
     return runner
 
 

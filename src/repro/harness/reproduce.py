@@ -106,7 +106,7 @@ def _prewarm(runner: ExperimentRunner, workers: int) -> None:
     )
     # Failed keys (if any) fall back to inline simulation when a
     # figure asks for them; pre-warming is best-effort.
-    runner._cache.update(summary.results)
+    runner.remember(summary.results)
 
 
 def _maybe_write_chart(

@@ -8,7 +8,8 @@ oversubscription analysis in Section VI-C2).
 Cost computation and traffic accounting are separate: the pure
 ``transfer_cost``/``message_cost`` queries never mutate the counters,
 so a policy's what-if lookahead cannot inflate ``bytes_transferred``.
-The side-effecting ``record_*`` methods do the accounting, and the
+The side-effecting ``record_*`` methods do the accounting (the timing
+kernel's flat mode bumps the two counters itself), and the
 ``reserve_*`` methods additionally treat the link as a contended
 resource: each reservation waits behind the link's ``busy_until``
 horizon, then occupies the wire for its serialization time (the fixed
@@ -75,18 +76,6 @@ class Link:
     def record_message(self) -> None:
         """Account one control message in the traffic counters."""
         self.messages += 1
-
-    # -- combined convenience (classic flat-cost path) -----------------
-
-    def transfer_cycles(self, size_bytes: int) -> int:
-        """Cycles to move ``size_bytes`` over this link, with accounting."""
-        self.record_transfer(size_bytes)
-        return self.transfer_cost(size_bytes)
-
-    def message_cycles(self) -> int:
-        """Cycles for a payload-free control message, with accounting."""
-        self.record_message()
-        return self.message_cost()
 
     # -- contended reservations (timestamped; "queued" mode) -----------
 

@@ -88,19 +88,6 @@ class Topology:
             )
         return route.hops[0]
 
-    def transfer(self, src: int, dst: int, size_bytes: int) -> int:
-        """Cycles to move a payload between two nodes (flat, accounted)."""
-        return sum(
-            hop.transfer_cycles(size_bytes)
-            for hop in self.route(src, dst).hops
-        )
-
-    def control_message(self, src: int, dst: int) -> int:
-        """Cycles for a payload-free message (fault, invalidation, ack)."""
-        return sum(
-            hop.message_cycles() for hop in self.route(src, dst).hops
-        )
-
     # -- link inventory ------------------------------------------------
 
     def links(self) -> List[Link]:

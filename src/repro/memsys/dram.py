@@ -11,16 +11,15 @@ costs.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import OrderedDict
+from typing import NamedTuple
 
 from repro.constants import EvictionPolicy
 
 
-@dataclasses.dataclass(frozen=True)
-class EvictionResult:
-    """Outcome of making room for one page."""
+class EvictionResult(NamedTuple):
+    """Outcome of making room for one page (immutable)."""
 
     evicted_vpn: int
     was_dirty: bool

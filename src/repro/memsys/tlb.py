@@ -106,6 +106,9 @@ class TLBHierarchy:
     def __init__(self, l1: TLBConfig, l2: TLBConfig) -> None:
         self.l1 = SetAssociativeTLB(l1)
         self.l2 = SetAssociativeTLB(l2)
+        # Both levels' sets (cleared in place, never replaced), so a
+        # full flush is one loop.
+        self._all_sets = [*self.l1._sets, *self.l2._sets]
 
     def lookup(self, vpn: int) -> tuple[LocalPTE | None, int, bool]:
         """Probe L1 then L2.
@@ -139,17 +142,15 @@ class TLBHierarchy:
             l1.insert(vpn, pte)
         return pte, latency + self.l2.config.lookup_latency
 
-    def fill(self, vpn: int, pte: LocalPTE) -> None:
-        """Install a translation in both levels after a walk/fault."""
-        self.l2.insert(vpn, pte)
-        self.l1.insert(vpn, pte)
-
     def invalidate(self, vpn: int) -> None:
         """Shootdown of one translation in both levels."""
-        self.l1.invalidate(vpn)
-        self.l2.invalidate(vpn)
+        l1 = self.l1
+        l2 = self.l2
+        l1._sets[vpn & l1._set_mask].pop(vpn, None)
+        l2._sets[vpn & l2._set_mask].pop(vpn, None)
 
     def flush(self) -> None:
         """Full flush of both levels."""
-        self.l1.flush()
-        self.l2.flush()
+        for entries in self._all_sets:
+            if entries:
+                entries.clear()

@@ -10,7 +10,8 @@ fault-service pipeline (see ``repro.sim.pipeline``): translation
 (L1 TLB -> L2 TLB -> page-table walk), fault buffering, batched fault
 service, then a data access charged by where the page actually lives.
 With ``fault_batch_size == 1`` (the default) faults are serviced
-inline at the faulting access — the classic simulator, bit-for-bit.
+inline at the faulting access, by the UVM driver directly — the
+classic simulator, bit-for-bit.
 With a larger batch size the faulting access parks in the GPU's
 replayable fault buffer while the stream keeps issuing (the other
 warps of a real GPU); a full buffer drains as one batch through the
@@ -92,6 +93,8 @@ class Engine:
             self.observation.bind(self.machine, policy)
         self.driver = UvmDriver(self.machine, policy)
         self.fault_service = self.driver.fault_service
+        #: True when every fault is serviced at the faulting access.
+        self.inline = self.fault_service.inline
         self.stage = TranslationStage(
             self.machine, trace, self.address_space
         )
@@ -128,7 +131,7 @@ class Engine:
         cursors = stage.cursors
         fold_shift = stage.fold_shift
         service = self.fault_service
-        inline = service.inline
+        inline = self.inline
         fastpath = self.fastpath
         # Yield gate of the fast path: after an unpaid round (one that
         # committed no more accesses than the GPUs it planned) the next
@@ -300,13 +303,16 @@ class Engine:
         if page is not None:
             # Both TLBs missed: fault if unmapped, then refill.
             if pte is None:
-                serviced = self.fault_service.submit(
+                if not self.inline:
+                    self.fault_service.submit(gpu_id, vpn, is_write, now)
+                    return cycles, True
+                # Inline service: straight to the driver, through the
+                # instance so sanitizer and tracer wrappers still run.
+                # The stage's central-page-table entry is reused.
+                cycles += self.driver.handle_local_fault(
                     gpu_id, vpn, is_write, now, page=page
                 )
-                if serviced is None:
-                    return cycles, True
-                cycles += serviced
-                pte = node.page_table.lookup(vpn)
+                pte = node.page_table.entries.get(vpn)
                 if pte is None:
                     raise SimulationError(
                         f"fault on vpn {vpn} left GPU {gpu_id} unmapped"

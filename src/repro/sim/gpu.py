@@ -30,6 +30,8 @@ class GpuNode:
         if had_pte:
             # A TLB entry implies a PTE (the sanitizer's TLB coherence
             # check), so only a GPU that had one needs a shootdown.
+            # The per-GPU shootdown loops (invalidate_everywhere, the
+            # eviction path) apply the same rule inline.
             self.tlbs.invalidate(vpn)
         return had_pte
 
@@ -38,9 +40,12 @@ class GpuNode:
 
         Called at the pipeline's stage boundaries: after a page-table
         walk, after a fault resolution (inline or batch replay), and
-        after a protection-fault collapse rewrites the PTE.
+        after a protection-fault collapse rewrites the PTE.  Both
+        levels are filled, L2 first.
         """
-        self.tlbs.fill(vpn, pte)
+        tlbs = self.tlbs
+        tlbs.l2.insert(vpn, pte)
+        tlbs.l1.insert(vpn, pte)
 
     def flush_pipeline_and_tlbs(self) -> None:
         """Drain in-flight work and flush TLBs (migration/collapse)."""

@@ -197,4 +197,4 @@ class TranslationStage:
         machine.breakdown.charge(LatencyCategory.LOCAL, walk)
         page = machine.central_pt.get(vpn)
         machine.counters.record_scheme_usage(page.scheme)
-        return node.page_table.lookup(vpn), cycles + walk, page
+        return node.page_table.entries.get(vpn), cycles + walk, page

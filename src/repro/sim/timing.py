@@ -11,10 +11,13 @@ and prices each charge in one of two modes:
     Flat latency-model costs, bit-for-bit identical to the classic
     simulator: a transfer costs fixed latency + serialization, a far
     access costs the MLP-scaled constant, and resources never queue.
+    A route's transfer and host-service charges are constants, so
+    the kernel computes each once per route (and payload size) and
+    afterwards only bumps the hops' traffic counters.
 
 ``"queued"``
     Links and DRAM channels are stateful resources with a
-    ``busy_until`` occupancy horizon.  Every ``topology.transfer`` is
+    ``busy_until`` occupancy horizon.  Every ``transfer`` is
     a timestamped reservation: it waits behind earlier occupants of
     the routed link, then holds the wire for its serialization time.
     Far data accesses additionally queue on the target node's DRAM
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from repro.constants import HOST_NODE
 from repro.errors import ConfigError
@@ -47,6 +50,7 @@ from repro.memsys.dram import DramChannel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config import LatencyModel, SystemConfig
+    from repro.interconnect.link import Link
     from repro.interconnect.topology import Topology
 
 #: Contention modes accepted by ``SystemConfig.contention``.
@@ -60,6 +64,10 @@ CONTENTION_ENV_VAR = "GRIT_CONTENTION"
 #: Cache-line payload a far data access occupies its link with in
 #: queued mode (typical GPU memory transaction granularity).
 CACHE_LINE_BYTES = 128
+
+#: A memoized flat-mode charge: the route's wire hops (each accounts
+#: the traffic on every charge) and the cycles the charge costs.
+FlatCharge = Tuple[Tuple["Link", ...], int]
 
 
 def contention_mode(config: "SystemConfig") -> str:
@@ -169,16 +177,21 @@ class TimingKernel:
             self._message_extra[key] = sum(
                 hop.latency for hop in extra_hops
             )
+        # Flat-mode charge tables, filled on first use: every transfer
+        # of one size along one route costs the same, so a charge is a
+        # ``(hops, cycles)`` lookup plus per-hop traffic accounting.
+        self._transfers: Dict[Tuple[int, int, int], FlatCharge] = {}
+        self._host_services: Dict[Tuple[int, float], FlatCharge] = {}
 
     # -- payload movement ----------------------------------------------
 
     def transfer(self, src: int, dst: int, size_bytes: int, now: int) -> int:
         """Move a payload between two nodes at cycle ``now``."""
-        route = self.topology.route(src, dst)
         if self.queued:
             # Shared root-port-style resources first (the payload
             # crosses them without paying latency twice), then each
             # wire hop in order, store-and-forward.
+            route = self.topology.route(src, dst)
             wait = 0
             for shared in route.shared:
                 wait += shared.reserve_access(now + wait, size_bytes)
@@ -189,11 +202,17 @@ class TimingKernel:
                 total += cycles
                 arrive += cycles
             return total
-        total = 0
-        for hop in route.hops:
-            hop.record_transfer(size_bytes)
-            total += hop.transfer_cost(size_bytes)
-        return total
+        charge = self._transfers.get((src, dst, size_bytes))
+        if charge is None:
+            hops = self.topology.route(src, dst).hops
+            charge = self._transfers[(src, dst, size_bytes)] = (
+                hops, sum(hop.transfer_cost(size_bytes) for hop in hops)
+            )
+        hops, cycles = charge
+        for hop in hops:
+            hop.bytes_transferred += size_bytes
+            hop.messages += 1
+        return cycles
 
     def transfer_cost(self, src: int, dst: int, size_bytes: int) -> int:
         """Pure what-if transfer cost: no accounting, no reservation."""
@@ -204,20 +223,17 @@ class TimingKernel:
 
     def control_message(self, src: int, dst: int, now: int) -> int:
         """Deliver a payload-free message (fault, invalidation, ack)."""
-        route = self.topology.route(src, dst)
         if self.queued:
             total = 0
             arrive = now
-            for hop in route.hops:
+            for hop in self.topology.route(src, dst).hops:
                 cycles = hop.reserve_message(arrive)
                 total += cycles
                 arrive += cycles
             return total
-        total = 0
-        for hop in route.hops:
-            hop.record_message()
-            total += hop.message_cost()
-        return total
+        # Flat, a message costs and accounts exactly like an empty
+        # payload: the hops' latency, one message each, no bytes.
+        return self.transfer(src, dst, 0, now)
 
     # -- data accesses -------------------------------------------------
 
@@ -301,8 +317,21 @@ class TimingKernel:
 
     def host_service(self, gpu: int, now: int, scale: float = 1.0) -> int:
         """PCIe control hop plus UVM software fault-service time."""
-        cycles = self.control_message(gpu, HOST_NODE, now)
-        cycles += int(self.latency.host_fault_service * scale)
+        if self.queued:
+            return self.control_message(gpu, HOST_NODE, now) + int(
+                self.latency.host_fault_service * scale
+            )
+        charge = self._host_services.get((gpu, scale))
+        if charge is None:
+            hops = self.topology.route(gpu, HOST_NODE).hops
+            charge = self._host_services[(gpu, scale)] = (
+                hops,
+                sum(hop.message_cost() for hop in hops)
+                + int(self.latency.host_fault_service * scale),
+            )
+        hops, cycles = charge
+        for hop in hops:
+            hop.messages += 1
         return cycles
 
     def pipeline_flush(self, scale: float = 1.0) -> int:

@@ -10,12 +10,15 @@ duplication / write collapse, plus the comparator policies' first-touch
 pinning, GPS publish-subscribe, and the Ideal bound).
 
 Faults arrive through two entry points: :meth:`handle_local_fault`
-services one fault synchronously (the classic inline path), and
-:meth:`service_fault_batch` drains one GPU's replayable fault buffer —
-one amortized host-service charge per batch, duplicate (gpu, vpn)
-entries coalesced — which is how real drivers win back fault-service
-latency.  The :class:`~repro.uvm.fault_service.FaultService` built by
-the driver decides which path each fault takes.
+services one fault synchronously (the classic inline path, called by
+the engine directly), and :meth:`service_fault_batch` drains one GPU's
+replayable fault buffer — one amortized host-service charge per batch,
+duplicate (gpu, vpn) entries coalesced — which is how real drivers win
+back fault-service latency.  The
+:class:`~repro.uvm.fault_service.FaultService` built by the driver
+parks faults and drains its buffers when ``fault_batch_size > 1``.
+Both entry points call the mechanic's executor straight from the
+registry's table.
 """
 
 from __future__ import annotations
@@ -70,6 +73,9 @@ class UvmDriver:
         self.duplication = DuplicationEngine(machine, self.migration)
         self.mechanics = MechanicExecutor(self)
         policy.register_mechanics(self.mechanics)
+        # The fault entry points call executors straight from the
+        # table (an unregistered mechanic raises PolicyError).
+        self._handlers = self.mechanics.handlers
         missing = policy.mechanics - self.mechanics.registered()
         if missing:
             names = ", ".join(sorted(m.name for m in missing))
@@ -170,22 +176,25 @@ class UvmDriver:
         consults the central table itself.
         """
         m = self.machine
+        policy = self.policy
         if page is None:
             page = m.central_pt.get(vpn)
-        if self.policy.mechanic_for(page) is Mechanic.IDEAL:
-            return self.mechanics.execute(
-                Mechanic.IDEAL, gpu, page, is_write, now
-            )
+        mechanic = policy.mechanic_for(page)
+        if mechanic is Mechanic.IDEAL:
+            return self._handlers[mechanic](self, gpu, page, is_write, now)
         m.counters.record_fault(FaultKind.LOCAL_PAGE_FAULT, gpu)
-        cycles = self.host_service(gpu, now)
+        # host_service, inlined on the hottest entry point.
+        cycles = m.kernel.host_service(
+            gpu, now, policy.fault_service_scale
+        )
+        m.breakdown.charge(LatencyCategory.HOST, cycles)
         cycles += self._observe_fault(
             gpu, vpn, FaultKind.LOCAL_PAGE_FAULT, is_write
         )
         # The policy hook may have rewritten the page's scheme bits
         # (GRIT's PA path), so the mechanic is re-read after it runs.
-        cycles += self.mechanics.execute(
-            self.policy.mechanic_for(page), gpu, page, is_write,
-            now + cycles,
+        cycles += self._handlers[policy.mechanic_for(page)](
+            self, gpu, page, is_write, now + cycles
         )
         if m.event_log is not None:
             m.event_log.emit(
@@ -215,13 +224,15 @@ class UvmDriver:
                 coalesced[record.vpn] = prior.merged_with(record)
                 m.counters.coalesced_faults += 1
         m.counters.fault_batches += 1
+        policy = self.policy
+        handlers = self._handlers
         cycles = self.host_service(gpu, now)
         for record in coalesced.values():
             page = m.central_pt.get(record.vpn)
-            if self.policy.mechanic_for(page) is Mechanic.IDEAL:
-                cycles += self.mechanics.execute(
-                    Mechanic.IDEAL, gpu, page, record.is_write,
-                    now + cycles,
+            mechanic = policy.mechanic_for(page)
+            if mechanic is Mechanic.IDEAL:
+                cycles += handlers[mechanic](
+                    self, gpu, page, record.is_write, now + cycles
                 )
                 continue
             m.counters.record_fault(FaultKind.LOCAL_PAGE_FAULT, gpu)
@@ -229,9 +240,8 @@ class UvmDriver:
                 gpu, record.vpn, FaultKind.LOCAL_PAGE_FAULT, record.is_write
             )
             # Re-read after the policy hook: it may rewrite scheme bits.
-            fault_cycles += self.mechanics.execute(
-                self.policy.mechanic_for(page), gpu, page, record.is_write,
-                now + cycles + fault_cycles,
+            fault_cycles += handlers[policy.mechanic_for(page)](
+                self, gpu, page, record.is_write, now + cycles + fault_cycles
             )
             cycles += fault_cycles
             if m.event_log is not None:
@@ -319,9 +329,9 @@ class UvmDriver:
         # link occupancy, so in queued mode foreground transfers queue
         # behind it.
         m.kernel.transfer(HOST_NODE, gpu, m.config.page_size, now)
-        self.migration.install_frame(
-            gpu, vpn, False, LatencyCategory.PAGE_MIGRATION, now=now
-        )
+        eviction = m.gpus[gpu].dram.install(vpn, False)
+        if eviction is not None:
+            self.migration.handle_eviction(gpu, eviction, now=now)
         page.owner = gpu
         m.gpus[gpu].page_table.map(vpn, gpu, writable=True)
         m.counters.prefetches += 1

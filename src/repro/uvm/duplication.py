@@ -60,14 +60,11 @@ class DuplicationEngine:
             )
         src = page.owner
         cycles = m.kernel.transfer(src, dest, m.config.page_size, now)
-        cycles += self.migration.install_frame(
-            dest,
-            page.vpn,
-            False,
-            LatencyCategory.PAGE_DUPLICATION,
-            flush_scale,
-            now=now + cycles,
-        )
+        eviction = m.gpus[dest].dram.install(page.vpn, False)
+        if eviction is not None:
+            cycles += self.migration.handle_eviction(
+                dest, eviction, flush_scale, now + cycles
+            )
         page.replicas.add(dest)
         m.gpus[dest].page_table.map(page.vpn, dest, writable=writable_replica)
         if not writable_replica:
@@ -131,14 +128,11 @@ class DuplicationEngine:
             cycles += kernel.transfer(
                 src, writer, m.config.page_size, now + cycles
             )
-            cycles += self.migration.install_frame(
-                writer,
-                page.vpn,
-                True,
-                LatencyCategory.WRITE_COLLAPSE,
-                flush_scale,
-                now=now + cycles,
-            )
+            eviction = m.gpus[writer].dram.install(page.vpn, True)
+            if eviction is not None:
+                cycles += self.migration.handle_eviction(
+                    writer, eviction, flush_scale, now + cycles
+                )
         page.replicas.clear()
         page.owner = writer
         page.dirty = True

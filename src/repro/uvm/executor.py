@@ -48,20 +48,30 @@ def executes(mechanic: Mechanic) -> Callable[[ExecutorFn], ExecutorFn]:
     return decorator
 
 
+class HandlerTable(dict):
+    """Mechanic -> executor; indexing an unregistered one raises."""
+
+    def __missing__(self, mechanic: Mechanic) -> ExecutorFn:
+        raise PolicyError(f"no executor registered for {mechanic!r}")
+
+
 class MechanicExecutor:
     """Per-driver dispatch table from mechanic to executor."""
 
     def __init__(self, driver: "UvmDriver") -> None:
         self.driver = driver
-        self._handlers: Dict[Mechanic, ExecutorFn] = dict(DEFAULT_EXECUTORS)
+        #: The live table.  The driver's fault entry points index it
+        #: directly (one lookup per fault), so :meth:`register` edits
+        #: it in place.
+        self.handlers = HandlerTable(DEFAULT_EXECUTORS)
 
     def register(self, mechanic: Mechanic, handler: ExecutorFn) -> None:
         """Install (or override) the executor for one mechanic."""
-        self._handlers[mechanic] = handler
+        self.handlers[mechanic] = handler
 
     def registered(self) -> FrozenSet[Mechanic]:
         """Mechanics that currently have an executor."""
-        return frozenset(self._handlers)
+        return frozenset(self.handlers)
 
     def execute(
         self,
@@ -72,10 +82,7 @@ class MechanicExecutor:
         now: int = 0,
     ) -> int:
         """Resolve one fault on ``page`` for ``gpu``; returns cycles."""
-        handler = self._handlers.get(mechanic)
-        if handler is None:
-            raise PolicyError(f"no executor registered for {mechanic!r}")
-        return handler(self.driver, gpu, page, is_write, now)
+        return self.handlers[mechanic](self.driver, gpu, page, is_write, now)
 
 
 # ----------------------------------------------------------------------
@@ -135,16 +142,10 @@ def _remote_map(
     machine = driver.machine
     flush_scale = driver.policy.flush_scale
     if page.owner == HOST_NODE and place_on_first_touch:
-        if is_write:
-            page.dirty = True
-            page.ever_written = True
-        cycles = driver.migration.place_from_host(
+        return driver.migration.place_from_host(
             page, gpu, LatencyCategory.PAGE_MIGRATION, flush_scale,
-            now=now,
+            is_write=is_write, now=now,
         )
-        if is_write:
-            machine.gpus[gpu].dram.mark_dirty(page.vpn)
-        return cycles
     if page.replicas:
         # Stale replicas from a previous duplication lifetime would
         # break coherence under remote write mappings; drop them.
@@ -163,25 +164,14 @@ def execute_duplication(
     driver: "UvmDriver", gpu: int, page: PageInfo, is_write: bool, now: int
 ) -> int:
     """Replicate reads, collapse writes (Section II-B3)."""
-    machine = driver.machine
     flush_scale = driver.policy.flush_scale
     if page.owner == HOST_NODE:
-        if is_write:
-            page.dirty = True
-            page.ever_written = True
         # Copy-on-write: read placements map read-only so a later
         # write raises a protection fault (Section II-B3).
-        cycles = driver.migration.place_from_host(
-            page,
-            gpu,
-            LatencyCategory.PAGE_DUPLICATION,
-            flush_scale,
-            writable=is_write,
-            now=now,
+        return driver.migration.place_from_host(
+            page, gpu, LatencyCategory.PAGE_DUPLICATION, flush_scale,
+            writable=is_write, is_write=is_write, now=now,
         )
-        if is_write:
-            machine.gpus[gpu].dram.mark_dirty(page.vpn)
-        return cycles
     if is_write:
         # Faulting write by a GPU with no copy: collapse-with-move.
         return driver.duplication.collapse_to_writer(
@@ -197,19 +187,12 @@ def execute_gps(
     driver: "UvmDriver", gpu: int, page: PageInfo, is_write: bool, now: int
 ) -> int:
     """Subscribe the requester with a writable replica (GPS)."""
-    machine = driver.machine
     flush_scale = driver.policy.flush_scale
     if page.owner == HOST_NODE:
-        if is_write:
-            page.dirty = True
-            page.ever_written = True
-        cycles = driver.migration.place_from_host(
+        return driver.migration.place_from_host(
             page, gpu, LatencyCategory.PAGE_DUPLICATION, flush_scale,
-            now=now,
+            is_write=is_write, now=now,
         )
-        if is_write:
-            machine.gpus[gpu].dram.mark_dirty(page.vpn)
-        return cycles
     # Subscribe: a writable replica.  The write broadcast itself is
     # charged uniformly by the engine for every GPS write.
     return driver.duplication.duplicate(

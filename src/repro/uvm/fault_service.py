@@ -6,10 +6,11 @@ and the driver's resolution mechanics.  It owns one bounded
 faults are serviced:
 
 * ``batch_size == 1`` (the default) reproduces the classic inline
-  path bit-for-bit — every fault is submitted and serviced in the same
-  call, through the driver's ``handle_local_fault`` entry point, so
-  the sanitizer sweeps and tracer spans are byte-identical to the
-  pre-pipeline simulator.
+  path bit-for-bit.  The service then holds nothing: the engine hands
+  every fault straight to the driver's ``handle_local_fault`` entry
+  point (through the driver instance, so the sanitizer sweeps and
+  tracer spans still wrap it), and :attr:`FaultService.inline` is how
+  it knows.
 * ``batch_size > 1`` models the real driver: faults park in the
   faulting GPU's replayable buffer while other warps keep issuing;
   once ``batch_size`` deposits accumulate (or the stream ends) the
@@ -29,7 +30,6 @@ from repro.constants import FaultKind
 from repro.uvm.faults import FaultBuffer, FaultEvent
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.memsys.page import PageInfo
     from repro.uvm.driver import UvmDriver
 
 
@@ -57,31 +57,15 @@ class FaultService:
         """True when ``gpu``'s buffer has filled to one batch."""
         return self.buffers[gpu].full
 
-    def submit(
-        self,
-        gpu: int,
-        vpn: int,
-        is_write: bool,
-        now: int,
-        page: "PageInfo | None" = None,
-    ) -> int | None:
-        """Hand one local fault to the service.
+    def submit(self, gpu: int, vpn: int, is_write: bool, now: int) -> None:
+        """Park one local fault in ``gpu``'s buffer for a later drain.
 
-        Returns the stall cycles when the fault was serviced inline
-        (``batch_size == 1``); returns ``None`` when the fault was
-        parked in the GPU's buffer for a later drain.  ``page`` is the
-        central-page-table entry the translation stage already fetched
-        (inline path only — parked faults are resolved much later, by
-        which time the batch drain re-reads the table anyway).
+        Only batched servicing parks faults; inline faults
+        (``batch_size == 1``) go from the engine to the driver.
         """
-        if self.batch_size == 1:
-            return self.driver.handle_local_fault(
-                gpu, vpn, is_write, now, page=page
-            )
         self.buffers[gpu].deposit(
             FaultEvent(FaultKind.LOCAL_PAGE_FAULT, gpu, vpn, is_write, now)
         )
-        return None
 
     def drain(self, gpu: int, now: int = 0) -> Tuple[int, List[FaultEvent]]:
         """Service everything parked in ``gpu``'s buffer as one batch.

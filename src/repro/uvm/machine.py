@@ -106,10 +106,12 @@ class MachineState:
         """Invalidate every GPU's translation for ``vpn``.
 
         Returns the number of GPUs that actually held a translation,
-        which is what invalidation latency scales with.
+        which is what invalidation latency scales with.  Only those
+        GPUs need a TLB shootdown (a TLB entry implies a PTE).
         """
         invalidated = 0
         for gpu in self.gpus:
-            if gpu.invalidate_translation(vpn):
+            if gpu.page_table.entries.pop(vpn, None) is not None:
+                gpu.tlbs.invalidate(vpn)
                 invalidated += 1
         return invalidated

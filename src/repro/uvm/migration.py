@@ -32,25 +32,32 @@ class MigrationEngine:
         flush_scale: float = 1.0,
         writable: bool = True,
         now: int = 0,
+        is_write: bool = False,
     ) -> int:
         """First touch: move the page from host memory to ``dest``.
 
         ``writable=False`` is duplication's copy-on-write placement: a
         read fault maps the page read-only so the first write raises a
         protection fault and upgrades through the UVM driver.
+        ``is_write`` marks a placement for a faulting write: the page
+        has been written and its new frame holds modified data.
         """
         m = self.machine
-        cycles = m.kernel.transfer(
-            HOST_NODE, dest, m.config.page_size, now
-        )
-        cycles += self.install_frame(
-            dest, page.vpn, False, category, flush_scale,
-            now=now + cycles,
-        )
+        vpn = page.vpn
+        cycles = m.kernel.transfer(HOST_NODE, dest, m.config.page_size, now)
+        node = m.gpus[dest]
+        eviction = node.dram.install(vpn, False)
+        if eviction is not None:
+            cycles += self.handle_eviction(
+                dest, eviction, flush_scale, now + cycles
+            )
         page.owner = dest
         page.dirty = False
-        m.gpus[dest].page_table.map(page.vpn, dest, writable=writable)
+        node.page_table.map(vpn, dest, writable=writable)
         m.breakdown.charge(category, cycles)
+        if is_write:
+            page.ever_written = True
+            node.dram.mark_dirty(vpn)
         return cycles
 
     def migrate(
@@ -61,95 +68,78 @@ class MigrationEngine:
         flush_scale: float = 1.0,
         now: int = 0,
     ) -> int:
-        """Move the authoritative copy of ``page`` to GPU ``dest``."""
+        """Move the authoritative copy of ``page`` to GPU ``dest``.
+
+        A host-resident page moves like a first-touch placement; a
+        GPU-resident one first flushes its owner and invalidates every
+        stale translation.
+        """
         m = self.machine
-        if page.owner == HOST_NODE:
-            m.counters.migrations += 1
-            cycles = self.place_from_host(
-                page, dest, category, flush_scale, now=now
-            )
-            if m.event_log is not None:
-                m.event_log.emit(
-                    EventKind.MIGRATION,
-                    page.vpn,
-                    HOST_NODE,
-                    detail=dest,
-                    cycles=cycles,
-                )
-            return cycles
-        if page.owner == dest:
+        vpn = page.vpn
+        source = page.owner
+        node = m.gpus[dest]
+        if source == dest:
             # Already local; just (re-)establish the mapping.
-            m.gpus[dest].page_table.map(
-                page.vpn, dest, writable=not page.replicas
-            )
+            node.page_table.map(vpn, dest, writable=not page.replicas)
             return 0
         kernel = m.kernel
-        old_owner = page.owner
         cycles = 0
-        # 1. Drain the owning GPU's pipeline and flush caches/TLBs.  The
-        # requester waits for it and the owner loses the time too.
-        flush = kernel.pipeline_flush(flush_scale)
-        m.gpus[old_owner].flush_pipeline_and_tlbs()
-        m.gpus[old_owner].clock += flush
-        cycles += flush
-        # 2. Invalidate every stale translation (remote mappings point at
-        # the old owner; replicas are dropped as part of the move).
-        for replica in sorted(page.replicas):
-            m.gpus[replica].dram.release(page.vpn)
-        page.replicas.clear()
-        invalidated = m.invalidate_everywhere(page.vpn)
-        cycles += kernel.invalidation(invalidated, flush_scale)
+        dirty = False
+        if source != HOST_NODE:
+            owner = m.gpus[source]
+            # 1. Drain the owning GPU's pipeline and flush caches/TLBs.
+            # The requester waits for it and the owner loses the time
+            # too.
+            flush = kernel.pipeline_flush(flush_scale)
+            owner.flush_pipeline_and_tlbs()
+            owner.clock += flush
+            cycles += flush
+            # 2. Invalidate every stale translation (remote mappings
+            # point at the old owner; replicas are dropped as part of
+            # the move).
+            for replica in sorted(page.replicas):
+                m.gpus[replica].dram.release(vpn)
+            page.replicas.clear()
+            invalidated = m.invalidate_everywhere(vpn)
+            cycles += kernel.invalidation(invalidated, flush_scale)
+            owner.dram.release(vpn)
+            dirty = page.dirty
         # 3. Transfer the page and install it at the destination.
-        m.gpus[old_owner].dram.release(page.vpn)
         cycles += kernel.transfer(
-            old_owner, dest, m.config.page_size, now + cycles
+            source, dest, m.config.page_size, now + cycles
         )
-        cycles += self.install_frame(
-            dest, page.vpn, page.dirty, category, flush_scale,
-            now=now + cycles,
-        )
+        eviction = node.dram.install(vpn, dirty)
+        if eviction is not None:
+            cycles += self.handle_eviction(
+                dest, eviction, flush_scale, now + cycles
+            )
         page.owner = dest
-        m.gpus[dest].page_table.map(page.vpn, dest, writable=True)
+        page.dirty = dirty
+        node.page_table.map(vpn, dest, writable=True)
         m.counters.migrations += 1
-        m.access_counters.reset_group(page.vpn)
+        if source != HOST_NODE:
+            m.access_counters.reset_group(vpn)
         m.breakdown.charge(category, cycles)
         if m.event_log is not None:
             m.event_log.emit(
-                EventKind.MIGRATION,
-                page.vpn,
-                old_owner,
-                detail=dest,
-                cycles=cycles,
+                EventKind.MIGRATION, vpn, source, detail=dest, cycles=cycles
             )
         return cycles
 
-    def install_frame(
-        self,
-        gpu: int,
-        vpn: int,
-        dirty: bool,
-        category: LatencyCategory,
-        flush_scale: float = 1.0,
-        now: int = 0,
-    ) -> int:
-        """Claim a DRAM frame on ``gpu``, evicting the LRU page if full.
-
-        Returned cycles are *not* charged to the breakdown here; the
-        calling mechanic charges its full cost once under ``category``.
-        """
-        eviction = self.machine.gpus[gpu].dram.install(vpn, dirty)
-        if eviction is None:
-            return 0
-        return self._handle_eviction(gpu, eviction, flush_scale, now)
-
-    def _handle_eviction(
+    def handle_eviction(
         self,
         gpu: int,
         eviction: EvictionResult,
-        flush_scale: float,
-        now: int,
+        flush_scale: float = 1.0,
+        now: int = 0,
     ) -> int:
-        """Demote the evicted page and fix up mappings and ownership."""
+        """Demote a page ``gpu``'s DRAM evicted; returns stall cycles.
+
+        Every mechanic that claims a frame (``DramDirectory.install``)
+        passes the eviction it caused here.  The cycles are *not*
+        charged to the breakdown; the calling mechanic charges its
+        full cost once under its own category.
+        """
         m = self.machine
         victim = m.central_pt.peek(eviction.evicted_vpn)
         m.counters.evictions += 1
@@ -165,11 +155,14 @@ class MigrationEngine:
             # frame (the owner's own mapping and any remote mappings).
             # Replica holders' self-mappings reference their own frames
             # and stay valid — under GPS that keeps them writable.
+            vpn = victim.vpn
             invalidated = 0
             for node in m.gpus:
-                pte = node.page_table.lookup(victim.vpn)
+                entries = node.page_table.entries
+                pte = entries.get(vpn)
                 if pte is not None and pte.location == gpu:
-                    node.invalidate_translation(victim.vpn)
+                    del entries[vpn]
+                    node.tlbs.invalidate(vpn)
                     invalidated += 1
             cycles += m.kernel.invalidation(invalidated, flush_scale)
             if victim.replicas:

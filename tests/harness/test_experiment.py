@@ -62,6 +62,31 @@ class TestRunner:
         b = runner.run(runner.key("fir", "grit", fault_threshold=2))
         assert a is not b
 
+    def test_contention_env_override_is_a_miss(self, monkeypatch):
+        # A result simulated before GRIT_CONTENTION flips must not be
+        # served after it: the memo key fingerprints the effective
+        # contention mode, like the disk cache does.
+        monkeypatch.delenv("GRIT_CONTENTION", raising=False)
+        runner = ExperimentRunner(scale=0.05)
+        key = runner.key("fir", "grit")
+        flat = runner.run(key)
+        monkeypatch.setenv("GRIT_CONTENTION", "queued")
+        queued = runner.run(key)
+        assert queued.details["contention"] == "queued"
+        fresh = ExperimentRunner(scale=0.05).run(key)
+        assert queued.total_cycles == fresh.total_cycles
+        assert queued.total_cycles != flat.total_cycles
+        monkeypatch.delenv("GRIT_CONTENTION")
+        assert runner.run(key) is flat
+
+    def test_remembered_results_are_served(self):
+        donor = ExperimentRunner(scale=0.05)
+        key = donor.key("fir", "on_touch")
+        result = donor.run(key)
+        runner = ExperimentRunner(scale=0.05)
+        runner.remember({key: result})
+        assert runner.run(key) is result
+
 
 class TestGeometricMean:
     def test_matches_manual_computation(self):

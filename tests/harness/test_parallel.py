@@ -80,7 +80,7 @@ class TestWarmRunner:
         runner = ExperimentRunner(scale=SCALE)
         keys = sample_keys(runner)
         warm_runner_parallel(runner, keys, workers=1)
-        cached = runner._cache[keys[0]]
+        cached = runner._cache[runner.memo_key(keys[0])]
         assert runner.run(keys[0]) is cached
 
     def test_warming_respects_runner_config(self):

@@ -2,33 +2,36 @@
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.interconnect.link import Link
+from repro.interconnect.topology import Topology
+from repro.sim.timing import TimingKernel
 
 
 class TestLink:
     def test_transfer_cost_latency_plus_serialization(self):
         link = Link("test", latency=100, bytes_per_cycle=10.0)
-        assert link.transfer_cycles(100) == 110
+        assert link.transfer_cost(100) == 110
 
     def test_serialization_rounds_up(self):
         link = Link("test", latency=0, bytes_per_cycle=3.0)
-        assert link.transfer_cycles(10) == 4
+        assert link.transfer_cost(10) == 4
 
     def test_control_message_costs_latency_only(self):
         link = Link("test", latency=100, bytes_per_cycle=10.0)
-        assert link.message_cycles() == 100
+        assert link.message_cost() == 100
 
     def test_traffic_accounting(self):
         link = Link("test", latency=1, bytes_per_cycle=1.0)
-        link.transfer_cycles(50)
-        link.transfer_cycles(30)
-        link.message_cycles()
+        link.record_transfer(50)
+        link.record_transfer(30)
+        link.record_message()
         assert link.bytes_transferred == 80
         assert link.messages == 3
 
     def test_reset_stats(self):
         link = Link("test", latency=1, bytes_per_cycle=1.0)
-        link.transfer_cycles(10)
+        link.record_transfer(10)
         link.reset_stats()
         assert link.bytes_transferred == 0
         assert link.messages == 0
@@ -42,7 +45,9 @@ class TestLink:
     def test_rejects_negative_transfer(self):
         link = Link("test", latency=0, bytes_per_cycle=1.0)
         with pytest.raises(ValueError):
-            link.transfer_cycles(-1)
+            link.record_transfer(-1)
+        with pytest.raises(ValueError):
+            link.transfer_cost(-1)
 
 
 class TestLinkCostVsAccounting:
@@ -68,12 +73,20 @@ class TestLinkCostVsAccounting:
         assert link.messages == 2
 
     def test_combined_path_equals_record_plus_cost(self):
-        classic = Link("a", latency=700, bytes_per_cycle=300.0)
-        split = Link("b", latency=700, bytes_per_cycle=300.0)
-        cycles = classic.transfer_cycles(4096)
+        # The timing kernel's flat transfer is the combined path: it
+        # charges the hop's cost and accounts like record_transfer.
+        config = SystemConfig(num_gpus=2)
+        topology = Topology(2, config.latency)
+        kernel = TimingKernel(config, topology)
+        link = topology.link_between(0, 1)
+        split = Link(
+            "b", latency=link.latency, bytes_per_cycle=link.bytes_per_cycle
+        )
+        cycles = kernel.transfer(0, 1, 4096, now=0)
         split.record_transfer(4096)
         assert cycles == split.transfer_cost(4096)
-        assert classic.bytes_transferred == split.bytes_transferred
+        assert link.bytes_transferred == split.bytes_transferred
+        assert link.messages == split.messages
 
 
 class TestLinkReservations:

@@ -5,12 +5,20 @@ import pytest
 from repro.config import LatencyModel
 from repro.constants import HOST_NODE
 from repro.errors import ConfigError
+from repro.config import SystemConfig
 from repro.interconnect.topology import Topology
+from repro.sim.timing import TimingKernel
 
 
 @pytest.fixture
 def topology(latency: LatencyModel) -> Topology:
     return Topology(4, latency)
+
+
+def flat_kernel(topology: Topology, latency: LatencyModel) -> TimingKernel:
+    """The flat-mode timing kernel that charges ``topology``'s links."""
+    config = SystemConfig(num_gpus=topology.num_gpus, latency=latency)
+    return TimingKernel(config, topology)
 
 
 class TestTopology:
@@ -25,9 +33,10 @@ class TestTopology:
         assert link.name == "pcie-2"
         assert topology.link_between(HOST_NODE, 2) is link
 
-    def test_pcie_slower_than_nvlink(self, topology):
-        nvlink = topology.transfer(0, 1, 4096)
-        pcie = topology.transfer(0, HOST_NODE, 4096)
+    def test_pcie_slower_than_nvlink(self, topology, latency):
+        kernel = flat_kernel(topology, latency)
+        nvlink = kernel.transfer(0, 1, 4096, now=0)
+        pcie = kernel.transfer(0, HOST_NODE, 4096, now=0)
         assert pcie > nvlink
 
     def test_self_link_rejected(self, topology):
@@ -38,15 +47,17 @@ class TestTopology:
         with pytest.raises((ConfigError, IndexError, KeyError)):
             topology.link_between(0, 9)
 
-    def test_traffic_totals(self, topology):
-        topology.transfer(0, 1, 1000)
-        topology.transfer(2, HOST_NODE, 500)
+    def test_traffic_totals(self, topology, latency):
+        kernel = flat_kernel(topology, latency)
+        kernel.transfer(0, 1, 1000, now=0)
+        kernel.transfer(2, HOST_NODE, 500, now=0)
         assert topology.total_nvlink_bytes() == 1000
         assert topology.total_pcie_bytes() == 500
 
     def test_single_gpu_topology_has_host_link(self, latency):
         topo = Topology(1, latency)
-        assert topo.transfer(0, HOST_NODE, 100) > 0
+        kernel = flat_kernel(topo, latency)
+        assert kernel.transfer(0, HOST_NODE, 100, now=0) > 0
 
     def test_rejects_zero_gpus(self, latency):
         with pytest.raises(ConfigError):
@@ -80,9 +91,10 @@ class TestTopologyResources:
         assert topology.peak_occupancy() == link.peak_occupancy
         assert topology.total_wait_cycles() > 0
 
-    def test_total_messages_counts_all_links(self, topology):
-        topology.transfer(0, 1, 100)
-        topology.control_message(2, HOST_NODE)
+    def test_total_messages_counts_all_links(self, topology, latency):
+        kernel = flat_kernel(topology, latency)
+        kernel.transfer(0, 1, 100, now=0)
+        kernel.control_message(2, HOST_NODE, now=0)
         assert topology.total_messages() == 2
 
     def test_single_gpu_rollups_empty(self, latency):

@@ -76,6 +76,13 @@ class TestSetAssociativeTLB:
         assert len(tlb) <= 8
 
 
+def fill(tlbs: TLBHierarchy, vpn: int, entry: LocalPTE) -> None:
+    """Install a translation in both levels, L2 first (the order of
+    ``GpuNode.fill_translation``)."""
+    tlbs.l2.insert(vpn, entry)
+    tlbs.l1.insert(vpn, entry)
+
+
 class TestTLBHierarchy:
     def make(self):
         return TLBHierarchy(
@@ -92,7 +99,7 @@ class TestTLBHierarchy:
 
     def test_l1_hit_is_cheap(self):
         tlbs = self.make()
-        tlbs.fill(9, pte())
+        fill(tlbs, 9, pte())
         entry, latency, l2_missed = tlbs.lookup(9)
         assert entry is not None
         assert not l2_missed
@@ -100,9 +107,9 @@ class TestTLBHierarchy:
 
     def test_l2_hit_promotes_to_l1(self):
         tlbs = self.make()
-        tlbs.fill(1, pte())
-        tlbs.fill(3, pte())
-        tlbs.fill(5, pte())  # L1 (2 entries) can't hold all three
+        fill(tlbs, 1, pte())
+        fill(tlbs, 3, pte())
+        fill(tlbs, 5, pte())  # L1 (2 entries) can't hold all three
         victim = next(
             vpn for vpn in (1, 3, 5) if tlbs.l1.lookup(vpn) is None
         )
@@ -113,14 +120,14 @@ class TestTLBHierarchy:
 
     def test_invalidate_hits_both_levels(self):
         tlbs = self.make()
-        tlbs.fill(2, pte())
+        fill(tlbs, 2, pte())
         tlbs.invalidate(2)
         entry, _, l2_missed = tlbs.lookup(2)
         assert entry is None and l2_missed
 
     def test_flush_hits_both_levels(self):
         tlbs = self.make()
-        tlbs.fill(2, pte())
+        fill(tlbs, 2, pte())
         tlbs.flush()
         assert len(tlbs.l1) == 0
         assert len(tlbs.l2) == 0

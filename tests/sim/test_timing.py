@@ -7,6 +7,7 @@ import pytest
 from repro.config import LatencyModel, SystemConfig
 from repro.constants import HOST_NODE
 from repro.errors import ConfigError
+from repro.interconnect.routing import topology_spec
 from repro.interconnect.topology import Topology
 from repro.memsys.dram import DramChannel
 from repro.policies import make_policy
@@ -154,6 +155,93 @@ class TestFlatModeIdentity:
         assert topology.total_wait_cycles() == 0
         assert all(link.busy_until == 0 for link in topology.links())
         assert kernel.dram_wait_cycles() == 0
+
+
+class TestFlatChargeTable:
+    """Flat charges are memoized per route and still account per call.
+
+    The kernel computes a route's transfer, control-message and
+    host-service charge on first use; every call must still cost the
+    hop-by-hop sum and raise each hop's traffic counters exactly once.
+    """
+
+    SHAPES = [
+        (4, "all-to-all"),
+        (8, "nvswitch:4"),
+        (8, "ring"),
+        (8, "multi-node:2"),
+    ]
+
+    @staticmethod
+    def kernel_for(num_gpus: int, topology: str):
+        config = SystemConfig(num_gpus=num_gpus, topology=topology)
+        fabric = Topology(
+            num_gpus, config.latency, spec=topology_spec(config)
+        )
+        return TimingKernel(config, fabric), fabric
+
+    @staticmethod
+    def snapshot(fabric):
+        return {
+            link.name: (link.bytes_transferred, link.messages)
+            for link in fabric.links()
+        }
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}-{s[1]}")
+    @pytest.mark.parametrize("size", [4096, 1000])
+    def test_transfer_equals_hop_sum_and_accounts_once(self, shape, size):
+        kernel, fabric = self.kernel_for(*shape)
+        num_gpus = shape[0]
+        pairs = [(0, num_gpus - 1), (num_gpus - 1, 0)]
+        pairs += [(0, HOST_NODE), (HOST_NODE, num_gpus - 1)]
+        for src, dst in pairs:
+            hops = fabric.route(src, dst).hops
+            expected = sum(hop.transfer_cost(size) for hop in hops)
+            for _ in range(2):  # the second call hits the table
+                before = self.snapshot(fabric)
+                assert kernel.transfer(src, dst, size, now=7) == expected
+                after = self.snapshot(fabric)
+                for link in fabric.links():
+                    on_route = sum(hop is link for hop in hops)
+                    was_bytes, was_messages = before[link.name]
+                    assert after[link.name] == (
+                        was_bytes + on_route * size,
+                        was_messages + on_route,
+                    ), (src, dst, link.name)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{s[0]}-{s[1]}")
+    def test_messages_equal_hop_sum_and_account_once(self, shape):
+        kernel, fabric = self.kernel_for(*shape)
+        num_gpus = shape[0]
+        service = int(kernel.latency.host_fault_service * 0.5)
+        for src, dst in [(0, num_gpus - 1), (num_gpus - 1, HOST_NODE)]:
+            hops = fabric.route(src, dst).hops
+            expected = sum(hop.message_cost() for hop in hops)
+            for _ in range(2):
+                before = self.snapshot(fabric)
+                assert kernel.control_message(src, dst, now=3) == expected
+                if dst == HOST_NODE:
+                    assert kernel.host_service(
+                        src, now=3, scale=0.5
+                    ) == expected + service
+                after = self.snapshot(fabric)
+                calls = 2 if dst == HOST_NODE else 1
+                for link in fabric.links():
+                    on_route = sum(hop is link for hop in hops)
+                    was_bytes, was_messages = before[link.name]
+                    assert after[link.name] == (
+                        was_bytes, was_messages + calls * on_route
+                    ), (src, dst, link.name)
+
+    def test_bad_arguments_fail_on_every_call(self):
+        kernel, _ = self.kernel_for(4, "all-to-all")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                kernel.transfer(0, 1, -1, now=0)
+            with pytest.raises(ConfigError):
+                kernel.transfer(1, 1, 4096, now=0)
+            with pytest.raises(ConfigError):
+                kernel.control_message(2, 2, now=0)
 
 
 class TestQueuedMode:

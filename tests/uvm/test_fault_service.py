@@ -8,9 +8,12 @@ from repro.errors import PolicyError, SimulationError
 from repro.policies import make_policy
 from repro.policies.base import Mechanic
 from repro.uvm.driver import UvmDriver
+from repro.sim.engine import Engine
 from repro.uvm.executor import MechanicExecutor
+from repro.uvm.fault_service import FaultService
 from repro.uvm.faults import FaultBuffer, FaultEvent
 from repro.uvm.machine import MachineState
+from repro.workloads import make_workload
 
 
 def _event(gpu=0, vpn=7, is_write=False, cycle=100):
@@ -69,13 +72,38 @@ def _driver(batch_size=1, policy_name="on_touch", num_gpus=2):
 
 class TestFaultService:
     def test_inline_mode_services_immediately(self):
+        # Inline faults go to the driver directly; nothing parks.
         driver = _driver(batch_size=1)
         service = driver.fault_service
         assert service.inline
-        cycles = service.submit(0, 3, False, now=0)
-        assert cycles is not None and cycles > 0
+        cycles = driver.handle_local_fault(0, 3, False, now=0)
+        assert cycles > 0
         assert driver.machine.counters.local_page_faults == 1
         assert driver.machine.counters.fault_batches == 0
+        assert service.pending(0) == 0
+
+    def test_inline_engine_never_parks(self, monkeypatch):
+        # The engine hands inline faults to the driver instance (so
+        # the sanitizer and tracer wrappers run), never to submit.
+        def refuse(*args, **kwargs):
+            raise AssertionError("inline fault parked")
+
+        monkeypatch.setattr(FaultService, "submit", refuse)
+        served = []
+        engine = Engine(
+            SystemConfig(),
+            make_workload("bfs", num_gpus=4, scale=0.05),
+            make_policy("on_touch"),
+        )
+        handle = engine.driver.handle_local_fault
+
+        def counting(gpu, vpn, *args, **kwargs):
+            served.append(vpn)
+            return handle(gpu, vpn, *args, **kwargs)
+
+        engine.driver.handle_local_fault = counting
+        result = engine.run()
+        assert len(served) == result.counters.local_page_faults > 0
 
     def test_batched_mode_parks_until_drain(self):
         driver = _driver(batch_size=2)
@@ -137,9 +165,21 @@ class TestMechanicExecutor:
 
     def test_unregistered_mechanic_raises(self):
         executor = MechanicExecutor(driver=None)
-        executor._handlers.clear()
+        executor.handlers.clear()
         with pytest.raises(PolicyError):
             executor.execute(Mechanic.ON_TOUCH, 0, None, False)
+
+    def test_fault_entry_points_raise_for_unregistered_mechanic(self):
+        # The driver's fault entry points index the table directly;
+        # a mechanic removed after construction still fails loudly.
+        driver = _driver()
+        del driver.mechanics.handlers[Mechanic.ON_TOUCH]
+        with pytest.raises(PolicyError, match="ON_TOUCH"):
+            driver.handle_local_fault(0, 3, False)
+        batched = _driver(batch_size=2)
+        del batched.mechanics.handlers[Mechanic.ON_TOUCH]
+        with pytest.raises(PolicyError, match="ON_TOUCH"):
+            batched.service_fault_batch(0, [_event(vpn=3)])
 
     def test_driver_rejects_policy_missing_an_executor(self):
         config = SystemConfig(num_gpus=2)
@@ -148,7 +188,7 @@ class TestMechanicExecutor:
 
         class Unsatisfiable(type(policy)):
             def register_mechanics(self, executor):
-                del executor._handlers[Mechanic.ON_TOUCH]
+                del executor.handlers[Mechanic.ON_TOUCH]
 
         with pytest.raises(PolicyError, match="on_touch"):
             UvmDriver(machine, Unsatisfiable())

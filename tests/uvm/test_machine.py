@@ -31,7 +31,7 @@ class TestMachineBuild:
         machine = MachineState.build(SystemConfig(num_gpus=2), 100)
         gpu = machine.gpus[0]
         gpu.page_table.map(7, 0, writable=True)
-        gpu.tlbs.fill(7, gpu.page_table.lookup(7))
+        gpu.fill_translation(7, gpu.page_table.lookup(7))
         machine.invalidate_everywhere(7)
         entry, _, missed = gpu.tlbs.lookup(7)
         assert entry is None and missed
